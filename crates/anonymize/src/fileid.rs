@@ -97,6 +97,19 @@ pub struct ProbeStats {
     pub max_shift: u64,
 }
 
+impl ProbeStats {
+    /// Folds in the work of another store over a disjoint set of
+    /// buckets (a shard's): totals add, maxima take the larger.
+    pub fn merge(&mut self, other: &ProbeStats) {
+        self.probes += other.probes;
+        self.comparisons += other.comparisons;
+        self.max_probe_depth = self.max_probe_depth.max(other.max_probe_depth);
+        self.inserts += other.inserts;
+        self.shifted += other.shifted;
+        self.max_shift = self.max_shift.max(other.max_shift);
+    }
+}
+
 /// The paper's structure: 65 536 sorted arrays of `(fileID, value)`.
 pub struct BucketedArrays {
     selector: ByteSelector,
@@ -181,8 +194,14 @@ impl BucketedArrays {
         for id in order {
             b.anonymize(id);
         }
-        b.probe_stats = ProbeStats::default();
+        b.reset_probe_stats();
         b
+    }
+
+    /// Zeroes the probe ledger, so that after a checkpoint replay it
+    /// counts only the work of the process that resumed.
+    pub(crate) fn reset_probe_stats(&mut self) {
+        self.probe_stats = ProbeStats::default();
     }
 }
 

@@ -70,8 +70,10 @@ impl ClientShard {
         assert!(shard_count_valid(shards), "bad shard count {shards}");
         assert!(shard < shards);
         let shard_bits = shards.trailing_zeros();
+        // Up to the paper's full 32 bits: the shard's `k` stays below
+        // 2^(w - log2 S), so its provisional `k·S + s` stays below 2^w.
         assert!(
-            width_bits > shard_bits && width_bits <= 31,
+            width_bits > shard_bits && width_bits <= 32,
             "client space of {width_bits} bits cannot be split {shards} ways"
         );
         ClientShard {
@@ -467,7 +469,9 @@ impl Assembler {
 /// appearance orders (empty slices = fresh start). Replay drives each
 /// id through its owning shard in global appearance order, which
 /// reproduces exactly the shard-local state and remap a live run would
-/// have reached — so resume continues bit-for-bit.
+/// have reached — so resume continues bit-for-bit. As in
+/// [`BucketedArrays::from_order`], the replay is not counted as probe
+/// work: the shards' ledgers start from zero.
 pub fn build_sharded(
     width_bits: u32,
     selector: ByteSelector,
@@ -499,6 +503,9 @@ pub fn build_sharded(
         debug_assert_eq!(asm.file_remap[p], UNMAPPED_FILE);
         asm.file_remap[p] = asm.file_order.len() as u64;
         asm.file_order.push(*id);
+    }
+    for set in &mut sets {
+        set.files.inner.reset_probe_stats();
     }
     let (c, f) = asm.scheme.encoders_mut();
     c.distinct = asm.client_order.len() as u32;
@@ -720,6 +727,18 @@ mod tests {
             let owners = sets.iter().filter(|s| s.files.owns(&id)).count();
             assert_eq!(owners, 1, "fileID {i} owned by {owners} shards");
         }
+    }
+
+    #[test]
+    fn paper_width_splits_without_overflow() {
+        // Shard 0 of 16 over the paper's 2^32 space holds a 2^28-cell
+        // (1 GB) table; the highest id it owns is its first, so it
+        // must come back as provisional 0, and the next as 0 + 16.
+        let mut shard = ClientShard::new(32, 16, 0);
+        assert_eq!(shard.resolve(0xFFFF_FFF0), 0);
+        assert_eq!(shard.resolve(0x10), 16);
+        assert_eq!(shard.resolve(0xFFFF_FFF0), 0);
+        assert_eq!(shard.distinct(), 2);
     }
 
     #[test]

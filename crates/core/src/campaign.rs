@@ -175,9 +175,10 @@ pub fn try_resume_campaign_observed(
 
 /// Runs a campaign whose tail formats records through the batched
 /// zero-allocation encoder straight into `writer` (see
-/// [`run_capture_pipeline_batched`]): the sequential stage hands
-/// fixed-size batches to an overlapped formatter thread while a writer
-/// thread flushes finished buffers in order, so the dataset bytes are
+/// [`run_capture_pipeline_batched`]): the reorder stage hands
+/// fixed-size batches to the anonymiser's shard pool and assembler,
+/// which feed an overlapped formatter thread while a writer thread
+/// flushes finished buffers in order, so the dataset bytes are
 /// identical to feeding [`run_campaign_observed`]'s records through
 /// `DatasetWriter::write_record` one by one — only faster.
 ///
@@ -194,7 +195,7 @@ pub fn try_run_campaign_to_writer<W: Write + Send>(
     campaign_to_writer_inner(config, registry, None, tail, writer, on_checkpoint)
 }
 
-/// Resumes an interrupted campaign through the batched tail, appending
+/// Resumes an interrupted campaign through the writer tail, appending
 /// to `writer` (restored with `DatasetWriter::resume` after truncating
 /// the file to `checkpoint.writer_bytes`). The combined file is
 /// byte-identical to an uninterrupted [`try_run_campaign_to_writer`]
@@ -281,7 +282,7 @@ fn campaign_inner(
 /// The shared campaign body: validates, builds the world (catalog,
 /// population, generator, server, capture ring, fault link), restores or
 /// creates the anonymiser, delegates the capture run to `run_tail`
-/// (serial sink or batched writer), then assembles the report. `T`
+/// (serial sink or writer tail), then assembles the report. `T`
 /// smuggles tail-specific state — the dataset writer — back out.
 fn campaign_inner_core<T>(
     config: &CampaignConfig,
@@ -372,7 +373,7 @@ fn campaign_inner_core<T>(
 
     // Surface the anonymiser's probe work: counters the health file and
     // the prometheus dump can report alongside the pipeline stages.
-    let probes = scheme.file_encoder().probe_stats();
+    let probes = pipeline.fileid_probes;
     registry
         .gauge("anon.fileid.probes_total")
         .set(probes.probes as i64);
@@ -888,6 +889,42 @@ mod tests {
             assert_eq!(*a, b, "resumed checkpoint diverges");
         }
         assert_eq!(resumed.records + cp.records, report.records);
+    }
+
+    #[test]
+    fn every_tail_publishes_the_same_fileid_ledger() {
+        let config = CampaignConfig::tiny();
+        let ledger = |registry: &Registry| {
+            let snap = registry.snapshot();
+            [
+                "probes_total",
+                "comparisons_total",
+                "max_probe_depth",
+                "inserts_total",
+                "shifted_total",
+                "max_shift",
+            ]
+            .map(|name| snap.gauge(&format!("anon.fileid.{name}")))
+        };
+        let serial = Registry::new();
+        try_run_campaign_observed(&config, &serial, |_| {}).expect("valid config");
+        let expected = ledger(&serial);
+        assert!(expected[0] > 0, "the campaign probes fileIDs");
+        for anon_shards in [1, 4] {
+            let registry = Registry::new();
+            try_run_campaign_to_writer(
+                &config,
+                &registry,
+                TailConfig {
+                    anon_shards,
+                    ..TailConfig::default()
+                },
+                DatasetWriter::new(io::sink()).expect("sink write"),
+                |_| {},
+            )
+            .expect("writer campaign");
+            assert_eq!(ledger(&registry), expected, "{anon_shards} shards");
+        }
     }
 
     #[test]

@@ -116,6 +116,11 @@ pub struct PipelineStats {
     /// one, so none of them reached the anonymiser. Always 0 in a
     /// healthy run; also counted as `pipeline.reorder.holes_total`.
     pub reorder_holes: u64,
+    /// Probe work of the fileID encoder during this run, restored state
+    /// excluded. Every tail reports the same ledger for the same input,
+    /// whatever its shard count; the campaign publishes it as
+    /// `anon.fileid.*`.
+    pub fileid_probes: ProbeStats,
 }
 
 /// Where a resumed pipeline picks up: produced by a checkpoint, consumed
@@ -174,7 +179,7 @@ impl Default for TraceOptions {
 }
 
 // Ring-lane layout of one pipeline run:
-// `[producer, decode×W, seq, anon, format, write, assemble, shard×S]`.
+// `[producer, decode×W, seq, format, write, assemble, shard×S]`.
 // Lanes for stages a particular tail does not spawn stay empty and
 // merge away for free at dump time.
 fn lane_decode(w: usize) -> usize {
@@ -183,20 +188,17 @@ fn lane_decode(w: usize) -> usize {
 fn lane_seq(n_workers: usize) -> usize {
     1 + n_workers
 }
-fn lane_anon(n_workers: usize) -> usize {
+fn lane_format(n_workers: usize) -> usize {
     2 + n_workers
 }
-fn lane_format(n_workers: usize) -> usize {
+fn lane_write(n_workers: usize) -> usize {
     3 + n_workers
 }
-fn lane_write(n_workers: usize) -> usize {
+fn lane_assemble(n_workers: usize) -> usize {
     4 + n_workers
 }
-fn lane_assemble(n_workers: usize) -> usize {
-    5 + n_workers
-}
 fn lane_shard(n_workers: usize, s: usize) -> usize {
-    6 + n_workers + s
+    5 + n_workers + s
 }
 
 /// Per-shard ledger handles for the anonymiser pool, feeding the
@@ -245,7 +247,7 @@ impl TraceCtx {
         registry: &Registry,
     ) -> Arc<TraceCtx> {
         Arc::new(TraceCtx {
-            recorder: FlightRecorder::new(6 + n_workers + n_shards, t.ring_slots),
+            recorder: FlightRecorder::new(5 + n_workers + n_shards, t.ring_slots),
             dump_dir: t.dump_dir.clone(),
             dumps_left: AtomicU32::new(t.max_dumps),
             dump_seq: AtomicU32::new(0),
@@ -372,11 +374,11 @@ impl StageTrace {
     }
 }
 
-/// Sizing knobs for the batched tail ([`run_capture_pipeline_batched`]).
+/// Sizing knobs for the writer tail ([`run_capture_pipeline_batched`]).
 #[derive(Clone, Copy, Debug)]
 pub struct TailConfig {
-    /// Records staged per batch before the sequential stage anonymises
-    /// them as one unit and hands them to the formatter. Larger batches
+    /// Records staged per batch before the reorder stage hands them to
+    /// the shard pool and the assembler as one unit. Larger batches
     /// amortise channel traffic and counter updates; smaller batches cut
     /// the latency between decode and disk. The default keeps a batch
     /// comfortably inside L2 while leaving per-batch overhead in the
@@ -386,11 +388,12 @@ pub struct TailConfig {
     /// how far formatting may run ahead of the disk (and with the
     /// recycling pools, the total number of live batch buffers).
     pub batch_queue: usize,
-    /// Anonymiser shards (power of two, `1..=16`). `1` keeps the serial
-    /// anonymiser in the sequential stage; `>1` fans each batch out to a
-    /// shard pool split along the paper's clientID/fileID partition and
-    /// reassembles in sequence (byte-identical output, see
-    /// [`etw_anonymize::shard`]).
+    /// Anonymiser shards (power of two, `1..=16`): each batch fans out
+    /// to this many shard workers, split along the paper's
+    /// clientID/fileID partition, and the assembler reassembles it in
+    /// sequence. `1` runs the same stages with one shard that owns both
+    /// id spaces whole. The output is byte-identical for every count
+    /// (see [`etw_anonymize::shard`]).
     pub anon_shards: usize,
 }
 
@@ -477,7 +480,6 @@ struct DecodeTelemetry {
 struct SinkTelemetry {
     reorder_depth: Gauge,
     reorder_depth_hwm: Gauge,
-    anonymize_ns: Histogram,
     records: Counter,
     queries: Counter,
     to_server: Counter,
@@ -489,7 +491,6 @@ impl SinkTelemetry {
         SinkTelemetry {
             reorder_depth: registry.gauge("stage.reorder.depth"),
             reorder_depth_hwm: registry.gauge("stage.reorder.depth_hwm"),
-            anonymize_ns: registry.histogram("stage.anonymize.service_ns"),
             records: registry.counter("stage.sink.records_total"),
             queries: registry.counter("stage.sink.queries_total"),
             to_server: registry.counter("stage.sink.to_server_total"),
@@ -604,6 +605,7 @@ where
             trace_ctx.as_ref().map(|c| c.lane(lane_seq(n_workers), 0)),
         );
         let sink = SinkTelemetry::new(registry);
+        let anonymize_ns = registry.histogram("stage.anonymize.service_ns");
         let cp_interval = opts.checkpoint_interval_us;
         let (skip, mut last_ts, mut next_cp) = match &opts.resume {
             Some(r) => (r.records, r.virtual_us, r.next_checkpoint_us),
@@ -662,9 +664,9 @@ where
                         sink.from_server.inc();
                     }
                 }
-                let t = sink.anonymize_ns.start();
+                let t = anonymize_ns.start();
                 let record = scheme.anonymize(d.ts.0, d.peer, &d.msg);
-                sink.anonymize_ns.record_since(t);
+                anonymize_ns.record_since(t);
                 stats.records += 1;
                 sink.records.inc();
                 if record.msg.is_query() {
@@ -688,6 +690,7 @@ where
     // a child panicked; re-raising is panic propagation.
     .expect("pipeline scope panicked");
 
+    stats.fileid_probes = scheme.file_encoder().probe_stats();
     (stats, scheme)
 }
 
@@ -728,402 +731,11 @@ struct WriteTelemetry {
     flush_ns: Histogram,
 }
 
-/// Anonymises the staged run of messages as one batch and hands it to
-/// the formatter, recycling record buffers through `rec_pool`. The
-/// per-record counter touches of the serial tail are hoisted here into
-/// one `add` per batch, and `stage.anonymize.service_ns` is recorded
-/// once per batch. `dirs` carries the `(to_server, from_server)` split
-/// accumulated while staging. Returns `false` when the tail has shut
-/// down (the writer hit an io error); the caller then stops batching
-/// but keeps draining the decode stage so the front never stalls.
-#[allow(clippy::too_many_arguments)]
-fn flush_tail_batch(
-    staging: &mut Vec<DecodedMsg>,
-    scheme: &mut PaperScheme,
-    rec_pool: &crossbeam::channel::Receiver<Vec<AnonRecord>>,
-    fmt_tx: &MeteredSender<FormatItem>,
-    sink: &SinkTelemetry,
-    stats: &mut PipelineStats,
-    dirs: &mut (u64, u64),
-) -> bool {
-    if staging.is_empty() {
-        return true;
-    }
-    let mut recs = rec_pool
-        .try_recv()
-        .unwrap_or_else(|| Vec::with_capacity(staging.len()));
-    let t = sink.anonymize_ns.start();
-    let summary =
-        scheme.anonymize_batch(staging.iter().map(|d| (d.ts.0, d.peer, &d.msg)), &mut recs);
-    sink.anonymize_ns.record_since(t);
-    staging.clear();
-    stats.records += summary.records;
-    stats.query_records += summary.queries;
-    sink.records.add(summary.records);
-    sink.queries.add(summary.queries);
-    sink.to_server.add(dirs.0);
-    sink.from_server.add(dirs.1);
-    stats.to_server += dirs.0;
-    stats.from_server += dirs.1;
-    *dirs = (0, 0);
-    fmt_tx.send(FormatItem::Batch(recs)).is_ok()
-}
-
-/// [`run_capture_pipeline_with`] with the serial tail replaced by the
-/// batched, overlapped one. Four stages run concurrently downstream of
-/// the decode workers:
-///
-/// ```text
-/// reorder ──► anonymise batches ──► format (zero-alloc encoder, ──► write (flush in
-///   (seq)     (stateful, seq)        reusable byte buffers)          sequence + stamp
-///                                                                    checkpoints)
-/// ```
-///
-/// * The reorder stage restores capture order from the decode workers'
-///   out-of-order completions and forwards ordered runs of decoded
-///   messages over the metered `ord_in` channel, so the only work left
-///   on the serial drain path is a `BTreeMap` insert/remove.
-/// * The anonymiser stage owns the encoder state: it counts consumed
-///   messages (checkpoint cuts, resume replay), stages
-///   [`TailConfig::batch_records`] messages, anonymises each run with
-///   [`PaperScheme::anonymize_batch`] (per-record telemetry hoisted into
-///   per-batch aggregates) and sends the batch over the metered
-///   `fmt_in` channel.
-/// * The formatter renders each batch into a recycled byte buffer with
-///   [`encode::encode_batch`] — byte-identical to
-///   [`DatasetWriter::write_record`], zero heap allocations per record
-///   in steady state — reporting under `stage.format.*`.
-/// * The writer flushes completed buffers strictly in sequence through
-///   [`DatasetWriter::write_encoded`] (`stage.write.*`), so the output
-///   is byte-identical to the serial tail and `.etwckpt` offsets stay
-///   valid: a checkpoint cut travels through both queues as a marker
-///   and `on_checkpoint` fires on the writer thread with
-///   [`DatasetWriter::bytes_written`] at exactly the cut's offset.
-///
-/// Checkpoint cuts flush the staged run first, so the captured encoder
-/// state covers precisely "everything before the boundary message", as
-/// in the serial tail. On a writer io error the pipeline drains the
-/// decode stage without formatting further and returns the error.
-#[allow(clippy::too_many_arguments)]
-pub fn run_capture_pipeline_batched<I, W>(
-    frames: I,
-    n_workers: usize,
-    mut scheme: PaperScheme,
-    registry: &Registry,
-    opts: &PipelineOptions,
-    tail: TailConfig,
-    writer: DatasetWriter<W>,
-    on_checkpoint: impl FnMut(PipelineCheckpoint, u64) + Send,
-) -> io::Result<(PipelineStats, PaperScheme, DatasetWriter<W>)>
-where
-    I: Iterator<Item = TimedFrame> + Send,
-    W: Write + Send,
-{
-    assert!(n_workers > 0);
-    assert!(tail.batch_records > 0 && tail.batch_queue > 0);
-    assert!(
-        shard_count_valid(tail.anon_shards),
-        "anon_shards must be a power of two in 1..={MAX_SHARDS}, got {}",
-        tail.anon_shards
-    );
-    if tail.anon_shards > 1 {
-        return run_capture_pipeline_sharded(
-            frames,
-            n_workers,
-            scheme,
-            registry,
-            opts,
-            tail,
-            writer,
-            on_checkpoint,
-        );
-    }
-    let mut stats = PipelineStats::default();
-    if opts
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.crash_every > 0)
-    {
-        silence_injected_crashes();
-    }
-
-    let trace_ctx = opts
-        .trace
-        .as_ref()
-        .map(|t| TraceCtx::new(t, n_workers, 0, registry));
-    let (writer, io_err, scheme) = crossbeam::thread::scope(|scope| {
-        let (out_rx, producer, handles) = spawn_front(
-            scope,
-            frames,
-            n_workers,
-            registry,
-            opts.faults.clone(),
-            trace_ctx.clone(),
-        );
-
-        // Tail plumbing: batches flow seq → format → write over metered
-        // channels; emptied buffers flow back through unmetered pools so
-        // steady state re-uses the same allocations forever. Pool
-        // capacity covers every buffer that can be in flight at once
-        // (the queues plus one in each stage's hands), so `try_send`
-        // back into a pool can only drop a buffer on the error path.
-        let pool_cap = tail.batch_queue + 2;
-        let (fmt_tx, fmt_rx) = metered_bounded::<FormatItem>(tail.batch_queue, registry, "fmt_in");
-        let (write_tx, write_rx) =
-            metered_bounded::<WriteItem>(tail.batch_queue, registry, "write_in");
-        // etwlint: allow(no-unbounded-channel): bounded recycling pool, not a work queue — try_send/try_recv only, never blocks
-        let (rec_pool_tx, rec_pool_rx) = crossbeam::channel::bounded::<Vec<AnonRecord>>(pool_cap);
-        // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
-        let (buf_pool_tx, buf_pool_rx) = crossbeam::channel::bounded::<Vec<u8>>(pool_cap);
-        for _ in 0..pool_cap {
-            let _ = rec_pool_tx.try_send(Vec::with_capacity(tail.batch_records));
-            let _ = buf_pool_tx.try_send(Vec::with_capacity(tail.batch_records * 64));
-        }
-
-        let formatter = spawn_tail_formatter(
-            scope,
-            registry,
-            fmt_rx,
-            write_tx,
-            rec_pool_tx.clone(),
-            buf_pool_rx,
-            true,
-            trace_ctx
-                .as_ref()
-                .map(|c| c.lane(lane_format(n_workers), 0)),
-        );
-        let writer_thread = spawn_tail_writer(
-            scope,
-            registry,
-            write_rx,
-            buf_pool_tx,
-            writer,
-            on_checkpoint,
-            trace_ctx.as_ref().map(|c| c.lane(lane_write(n_workers), 0)),
-        );
-
-        // Ordered runs flow reorder → anonymiser over `ord_in`; the
-        // emptied chunk vectors recycle back through a pool so the
-        // serial drain path never allocates in steady state.
-        let (ord_tx, ord_rx) =
-            metered_bounded::<Vec<DecodedMsg>>(tail.batch_queue, registry, "ord_in");
-        // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
-        let (msg_pool_tx, msg_pool_rx) = crossbeam::channel::bounded::<Vec<DecodedMsg>>(pool_cap);
-        for _ in 0..pool_cap {
-            let _ = msg_pool_tx.try_send(Vec::with_capacity(tail.batch_records));
-        }
-
-        // Anonymiser stage: owns the encoder state, the consumed-record
-        // count (checkpoint cuts, resume replay) and the staging buffer.
-        // Formerly fused with the reorder loop; hoisting it off the
-        // serial drain path shortens the batched tail's critical section
-        // to the BTreeMap insert/remove (carried ROADMAP item from PR 5).
-        let anon_trace = StageTrace::new(
-            registry,
-            StageId::Anonymize,
-            trace_ctx.as_ref().map(|c| c.lane(lane_anon(n_workers), 0)),
-        );
-        let sink = SinkTelemetry::new(registry);
-        let cp_interval = opts.checkpoint_interval_us;
-        let (skip, resume_ts, resume_cp) = match &opts.resume {
-            Some(r) => (r.records, r.virtual_us, r.next_checkpoint_us),
-            None => (0, 0, cp_interval),
-        };
-        let anonymizer = {
-            scope.spawn(move |_| {
-                let mut stats = PipelineStats::default();
-                let mut last_ts = resume_ts;
-                let mut next_cp = resume_cp;
-                let mut consumed = 0u64;
-                let mut staging: Vec<DecodedMsg> = Vec::with_capacity(tail.batch_records);
-                let mut dirs = (0u64, 0u64);
-                let mut tail_failed = false;
-                let mut pt = anon_trace.begin();
-                while let Ok(mut chunk) = ord_rx.recv() {
-                    let w0 = anon_trace.service_begin(&mut pt);
-                    let items = chunk.len() as u64;
-                    for d in chunk.drain(..) {
-                        if cp_interval > 0 && d.ts.0 >= next_cp {
-                            // Cut *before* consuming this message. The
-                            // staged run is flushed first so the orders
-                            // captured below cover exactly "everything
-                            // before the boundary", and the marker rides
-                            // the same ordered queues, so the writer
-                            // stamps it at exactly that offset.
-                            next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
-                            anon_trace.event_dump(
-                                SpanKind::Checkpoint,
-                                "checkpoint",
-                                consumed as u32,
-                                last_ts,
-                            );
-                            if !tail_failed {
-                                tail_failed = !flush_tail_batch(
-                                    &mut staging,
-                                    &mut scheme,
-                                    &rec_pool_rx,
-                                    &fmt_tx,
-                                    &sink,
-                                    &mut stats,
-                                    &mut dirs,
-                                );
-                            }
-                            if !tail_failed {
-                                tail_failed = fmt_tx
-                                    .send(FormatItem::Checkpoint(PipelineCheckpoint {
-                                        virtual_us: last_ts,
-                                        next_checkpoint_us: next_cp,
-                                        records: consumed,
-                                        client_order: scheme.client_encoder().appearance_order(),
-                                        file_order: scheme.file_encoder().appearance_order(),
-                                    }))
-                                    .is_err();
-                            }
-                        }
-                        consumed += 1;
-                        last_ts = d.ts.0;
-                        if consumed <= skip {
-                            // Resume replay: already written by the
-                            // interrupted run; its effects live in the
-                            // restored state.
-                            continue;
-                        }
-                        if tail_failed {
-                            // Writer is gone: keep consuming so the
-                            // reorder stage drains instead of
-                            // deadlocking the producer.
-                            continue;
-                        }
-                        match d.direction {
-                            Direction::ToServer => dirs.0 += 1,
-                            Direction::FromServer => dirs.1 += 1,
-                        }
-                        staging.push(d);
-                        if staging.len() >= tail.batch_records {
-                            tail_failed = !flush_tail_batch(
-                                &mut staging,
-                                &mut scheme,
-                                &rec_pool_rx,
-                                &fmt_tx,
-                                &sink,
-                                &mut stats,
-                                &mut dirs,
-                            );
-                        }
-                    }
-                    let _ = msg_pool_tx.try_send(chunk);
-                    anon_trace.service_end(&mut pt, staging.len() as u32, last_ts, w0, items);
-                }
-                if !tail_failed {
-                    // Final partial batch.
-                    flush_tail_batch(
-                        &mut staging,
-                        &mut scheme,
-                        &rec_pool_rx,
-                        &fmt_tx,
-                        &sink,
-                        &mut stats,
-                        &mut dirs,
-                    );
-                }
-                drop(fmt_tx);
-                (scheme, stats)
-            })
-        };
-
-        // Reorder stage: restore sequence order, forward ordered runs.
-        // This loop is the batched tail's only remaining serial section,
-        // so it does nothing but the reorder-buffer drain and the chunk
-        // hand-off.
-        let seq_trace = StageTrace::new(
-            registry,
-            StageId::Reorder,
-            trace_ctx.as_ref().map(|c| c.lane(lane_seq(n_workers), 0)),
-        );
-        let reorder_depth = registry.gauge("stage.reorder.depth");
-        let reorder_depth_hwm = registry.gauge("stage.reorder.depth_hwm");
-        let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let mut seen_ts = resume_ts;
-        let mut ord_failed = false;
-        let mut chunk: Vec<DecodedMsg> = msg_pool_rx
-            .try_recv()
-            .unwrap_or_else(|| Vec::with_capacity(tail.batch_records));
-        let mut pt = seq_trace.begin();
-        while let Ok(batch) = out_rx.recv() {
-            let w0 = seq_trace.service_begin(&mut pt);
-            let items = batch.len() as u64;
-            for (seq, decoded) in batch {
-                reorder.insert(seq, decoded);
-            }
-            while let Some(decoded) = reorder.remove(&next_seq) {
-                next_seq += 1;
-                let Some(d) = decoded else { continue };
-                seen_ts = d.ts.0;
-                if ord_failed {
-                    // Anonymiser is gone (it only exits after `ord_in`
-                    // closes or a panic): keep consuming so the decode
-                    // front drains instead of deadlocking the producer.
-                    continue;
-                }
-                chunk.push(d);
-                if chunk.len() >= tail.batch_records {
-                    let full = std::mem::replace(
-                        &mut chunk,
-                        msg_pool_rx
-                            .try_recv()
-                            .unwrap_or_else(|| Vec::with_capacity(tail.batch_records)),
-                    );
-                    ord_failed = ord_tx.send(full).is_err();
-                }
-            }
-            let depth = reorder.len() as i64;
-            reorder_depth.set(depth);
-            if depth > reorder_depth_hwm.get() {
-                reorder_depth_hwm.set(depth);
-            }
-            seq_trace.service_end(&mut pt, depth as u32, seen_ts, w0, items);
-        }
-        if !ord_failed && !chunk.is_empty() {
-            let _ = ord_tx.send(chunk);
-        }
-        drop(ord_tx);
-
-        // etwlint: allow(no-panic-hot-path): join() only errs when the
-        // joined thread panicked; re-raising is panic propagation, not a
-        // new failure mode.
-        let (scheme, anon_stats) = anonymizer.join().expect("anonymizer panicked");
-        stats.records += anon_stats.records;
-        stats.query_records += anon_stats.query_records;
-        stats.to_server += anon_stats.to_server;
-        stats.from_server += anon_stats.from_server;
-
-        // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        formatter.join().expect("formatter panicked");
-        // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        let (w, io_err) = writer_thread.join().expect("writer panicked");
-        join_front(producer, handles, &mut stats);
-        count_reorder_holes(&mut stats, next_seq, registry);
-        (w, io_err, scheme)
-    })
-    // etwlint: allow(no-panic-hot-path): crossbeam scope() errs only when
-    // a child panicked; re-raising is panic propagation.
-    .expect("pipeline scope panicked");
-
-    match io_err {
-        Some(e) => Err(e),
-        None => Ok((stats, scheme, writer)),
-    }
-}
-
 /// Spawns the formatter stage: renders record batches into recycled byte
 /// buffers with the zero-alloc encoder and forwards them (and checkpoint
-/// markers) to the writer in order. With `clear_records` the emptied
-/// record vectors go back to the pool cleared (the serial-anonymiser
-/// tail); without it they keep their contents, because the sharded
-/// assembler overwrites records in place and the stale records *are* its
-/// allocation pool.
-#[allow(clippy::too_many_arguments)]
+/// markers) to the writer in order. The emptied record vectors go back
+/// to the pool with their contents: the assembler overwrites records in
+/// place, so the stale records *are* its allocation pool.
 fn spawn_tail_formatter<'scope, 'env>(
     scope: &crossbeam::thread::Scope<'scope, 'env>,
     registry: &Registry,
@@ -1131,7 +743,6 @@ fn spawn_tail_formatter<'scope, 'env>(
     write_tx: MeteredSender<WriteItem>,
     rec_pool_back: crossbeam::channel::Sender<Vec<AnonRecord>>,
     buf_pool_rx: crossbeam::channel::Receiver<Vec<u8>>,
-    clear_records: bool,
     lane: Option<TraceLane>,
 ) -> crossbeam::thread::ScopedJoinHandle<'scope, ()> {
     let fmt = FormatTelemetry {
@@ -1146,7 +757,7 @@ fn spawn_tail_formatter<'scope, 'env>(
         while let Ok(item) = fmt_rx.recv() {
             let w0 = trace.service_begin(&mut pt);
             let ok = match item {
-                FormatItem::Batch(mut recs) => {
+                FormatItem::Batch(recs) => {
                     let mut buf = buf_pool_rx
                         .try_recv()
                         .unwrap_or_else(|| Vec::with_capacity(recs.len() * 64));
@@ -1159,9 +770,6 @@ fn spawn_tail_formatter<'scope, 'env>(
                     fmt.bytes.add(buf.len() as u64);
                     let records = recs.len() as u64;
                     let last_us = recs.last().map_or(0, |r| r.ts_us);
-                    if clear_records {
-                        recs.clear();
-                    }
                     let _ = rec_pool_back.try_send(recs);
                     trace.service_end(&mut pt, records as u32, last_us, w0, records);
                     write_tx.send(WriteItem::Bytes { buf, records }).is_ok()
@@ -1279,24 +887,49 @@ enum AsmItem {
     },
 }
 
-/// The sharded tail (`TailConfig::anon_shards > 1`): the sequential
-/// stage runs the visit pass per staged batch and fans the batch out to
-/// `anon_shards` shard workers (clientIDs split by low id bits, fileIDs
-/// by low bucket-index bits, see [`etw_anonymize::shard`]); the
-/// assembler gathers every shard's resolutions in batch order, remaps
-/// striped provisionals to global appearance orders, constructs records
-/// with allocation reuse, and feeds the same formatter/writer stages as
-/// the serial-anonymiser tail. Output and checkpoints are byte-identical
-/// to [`run_capture_pipeline_batched`] at `anon_shards = 1`.
+/// [`run_capture_pipeline_with`] with the serial tail replaced by the
+/// batched, overlapped writer tail. Downstream of the decode workers,
+/// every stage runs concurrently:
 ///
 /// ```text
-///                      ┌► shard 0 ─┐
-/// reorder ─► visit ────┼► ...      ├─► assemble ─► format ─► write
-///   (seq)    (ids)     └► shard S ─┘   (remap +
-///                 └────────────────────► construct, seq)
+///                      ┌► shard 0 ───┐
+/// reorder ─► visit ────┼► ...        ├─► assemble ─► format ─► write
+///   (seq)    (ids)     └► shard S-1 ─┘   (remap +
+///                 └──────────────────────► construct, seq)
 /// ```
+///
+/// * The reorder stage restores capture order, counts consumed messages
+///   (checkpoint cuts, resume replay), runs the visit pass
+///   ([`collect_ids`]) while staging [`TailConfig::batch_records`]
+///   messages, and fans each batch out to the shard pool and the
+///   assembler.
+/// * [`TailConfig::anon_shards`] shard workers resolve the ids they own
+///   to striped provisionals: clientIDs split by low id bits, fileIDs by
+///   low bucket-index bits (see [`etw_anonymize::shard`]). One shard
+///   owns both id spaces whole.
+/// * The assembler gathers every shard's resolutions in batch order,
+///   remaps the provisionals to global appearance orders, constructs the
+///   records with allocation reuse, and fills checkpoint cuts with its
+///   orders.
+/// * The formatter renders each batch into a recycled byte buffer with
+///   [`encode::encode_batch`] — byte-identical to
+///   [`DatasetWriter::write_record`], zero heap allocations per record
+///   in steady state — reporting under `stage.format.*`.
+/// * The writer flushes completed buffers strictly in sequence through
+///   [`DatasetWriter::write_encoded`] (`stage.write.*`), so the output
+///   is byte-identical to the serial tail for every shard count and
+///   `.etwckpt` offsets stay valid: a checkpoint cut travels through the
+///   ordered queues as a marker and `on_checkpoint` fires on the writer
+///   thread with [`DatasetWriter::bytes_written`] at exactly the cut's
+///   offset.
+///
+/// Checkpoint cuts flush the staged run first, so the captured encoder
+/// state covers precisely "everything before the boundary message", as
+/// in the serial tail. The returned scheme is rebuilt from the
+/// assembler's final orders. On a writer io error the pipeline drains
+/// the decode stage without formatting further and returns the error.
 #[allow(clippy::too_many_arguments)]
-fn run_capture_pipeline_sharded<I, W>(
+pub fn run_capture_pipeline_batched<I, W>(
     frames: I,
     n_workers: usize,
     scheme: PaperScheme,
@@ -1310,16 +943,26 @@ where
     I: Iterator<Item = TimedFrame> + Send,
     W: Write + Send,
 {
+    assert!(n_workers > 0);
+    assert!(tail.batch_records > 0 && tail.batch_queue > 0);
+    assert!(
+        shard_count_valid(tail.anon_shards),
+        "anon_shards must be a power of two in 1..={MAX_SHARDS}, got {}",
+        tail.anon_shards
+    );
     let n_shards = tail.anon_shards;
     let width_bits = scheme.client_encoder().width_bits();
     let selector = scheme.file_encoder().selector();
     // Split the (possibly checkpoint-restored) serial encoder state into
-    // shard + assembler state by replaying the appearance orders.
-    let client_order = scheme.client_encoder().appearance_order();
-    let file_order = scheme.file_encoder().appearance_order();
-    let (shard_sets, assembler) =
-        build_sharded(width_bits, selector, n_shards, &client_order, &file_order);
-    drop(scheme);
+    // shard + assembler state by replaying the appearance orders. The
+    // caller's tables go first, so a 2^32 run never holds two 16 GB
+    // clientID tables at once.
+    let (shard_sets, assembler) = {
+        let client_order = scheme.client_encoder().appearance_order();
+        let file_order = scheme.file_encoder().appearance_order();
+        drop(scheme);
+        build_sharded(width_bits, selector, n_shards, &client_order, &file_order)
+    };
 
     let mut stats = PipelineStats::default();
     if opts
@@ -1375,7 +1018,6 @@ where
             write_tx,
             rec_pool_tx.clone(),
             buf_pool_rx,
-            false,
             trace_ctx
                 .as_ref()
                 .map(|c| c.lane(lane_format(n_workers), 0)),
@@ -1684,9 +1326,7 @@ where
                     Direction::FromServer => dirs.1 += 1,
                 }
                 queries += u64::from(d.msg.is_client_to_server());
-                let t = sink.anonymize_ns.start();
                 collect_ids(d.peer, &d.msg, &mut cur.client_ids, &mut cur.file_ids);
-                sink.anonymize_ns.record_since(t);
                 cur.msgs.push(d);
                 if cur.msgs.len() >= tail.batch_records {
                     tail_failed = !flush(
@@ -1719,43 +1359,15 @@ where
         drop(asm_tx);
 
         // Shutdown order follows the data: shards, assembler, formatter,
-        // writer, then the front.
-        let mut probe = ProbeStats::default();
+        // writer, then the front. The shards own disjoint buckets, so
+        // their probe ledgers sum to the serial encoder's.
         for h in shard_handles {
             // etwlint: allow(no-panic-hot-path): join() only errs when
             // the joined thread panicked; re-raising is panic
             // propagation, not a new failure mode.
             let set = h.join().expect("shard worker panicked");
-            let p = set.files.probe_stats();
-            probe.probes += p.probes;
-            probe.comparisons += p.comparisons;
-            probe.max_probe_depth = probe.max_probe_depth.max(p.max_probe_depth);
-            probe.inserts += p.inserts;
-            probe.shifted += p.shifted;
-            probe.max_shift = probe.max_shift.max(p.max_shift);
+            stats.fileid_probes.merge(&set.files.probe_stats());
         }
-        // Aggregate shard probe work: the per-shard bucket state dies
-        // with the workers (the returned scheme is rebuilt from orders,
-        // which zeroes its stats), so the campaign-facing numbers live
-        // under anon.shard.* instead of anon.fileid.*.
-        registry
-            .counter("anon.shard.probes_total")
-            .add(probe.probes);
-        registry
-            .counter("anon.shard.comparisons_total")
-            .add(probe.comparisons);
-        registry
-            .gauge("anon.shard.max_probe_depth")
-            .set(probe.max_probe_depth as i64);
-        registry
-            .counter("anon.shard.inserts_total")
-            .add(probe.inserts);
-        registry
-            .counter("anon.shard.shifted_total")
-            .add(probe.shifted);
-        registry
-            .gauge("anon.shard.max_shift")
-            .set(probe.max_shift as i64);
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
         let asm = asm_thread.join().expect("assembler panicked");
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
@@ -1772,7 +1384,7 @@ where
 
     // Rebuild a serial-equivalent scheme from the assembler's final
     // orders: distinct counts and bucket sizes match the serial run
-    // exactly (probe stats were aggregated above).
+    // exactly (the probe ledger is in `stats`).
     let scheme =
         PaperScheme::from_orders(width_bits, selector, asm.client_order(), asm.file_order());
     match io_err {
@@ -1785,8 +1397,8 @@ where
 /// the decode workers — into `scope`, wiring shared stage telemetry.
 /// Returns the sequenced worker-output channel plus the join handles:
 /// the producer yields `(frames_routed, frames_shed)`, each worker its
-/// accumulated [`WorkerStats`]. Both the serial and the batched tail sit
-/// downstream of this same front, so fault injection, shedding and
+/// accumulated [`WorkerStats`]. Both the serial tail and the writer tail
+/// sit downstream of this same front, so fault injection, shedding and
 /// sequence assignment behave identically in the two.
 type FrontHandles<'scope> = (
     MeteredReceiver<Vec<WorkerStep>>,
@@ -2797,105 +2409,167 @@ mod tests {
     }
 
     #[test]
-    fn batched_tail_reports_format_and_write_stages() {
+    fn writer_tail_reports_stage_ledgers() {
         let frames = frames_for(&mixed_msgs(200));
-        let registry = Registry::new();
-        let (bytes, _, stats) = batched_dataset(
-            frames,
-            2,
-            &PipelineOptions::default(),
-            TailConfig {
-                batch_records: 32,
-                batch_queue: 4,
-                anon_shards: 1,
-            },
-            &registry,
-        );
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("stage.format.records_total"), stats.records);
-        assert_eq!(snap.counter("stage.sink.records_total"), stats.records);
-        let batches = snap.counter("stage.format.batches_total");
-        assert_eq!(batches, stats.records.div_ceil(32));
-        assert_eq!(snap.counter("stage.write.batches_total"), batches);
-        // Everything formatted got written; the dataset is header +
-        // formatted bytes + footer.
-        let body = snap.counter("stage.format.bytes_total");
-        assert_eq!(snap.counter("stage.write.bytes_total"), body);
-        assert!(body > 0 && (body as usize) < bytes.len());
-        assert_eq!(
-            snap.histogram("stage.format.service_ns").unwrap().count,
-            batches
-        );
-        assert_eq!(
-            snap.histogram("stage.write.flush_ns").unwrap().count,
-            batches
-        );
-        // Tail queues fully drained at exit.
-        assert_eq!(snap.gauge("chan.fmt_in.depth"), 0);
-        assert_eq!(snap.gauge("chan.write_in.depth"), 0);
+        for shards in [1usize, 4] {
+            let registry = Registry::new();
+            let (bytes, _, stats) = batched_dataset(
+                frames.clone(),
+                2,
+                &PipelineOptions::default(),
+                TailConfig {
+                    batch_records: 32,
+                    batch_queue: 4,
+                    anon_shards: shards,
+                },
+                &registry,
+            );
+            let snap = registry.snapshot();
+            let batches = stats.records.div_ceil(32);
+            let fanned = batches * shards as u64;
+            // Format and write: each batch once. Everything formatted got
+            // written; the dataset is header + formatted bytes + footer.
+            assert_eq!(snap.counter("stage.format.records_total"), stats.records);
+            assert_eq!(snap.counter("stage.sink.records_total"), stats.records);
+            assert_eq!(snap.counter("stage.format.batches_total"), batches);
+            assert_eq!(snap.counter("stage.write.batches_total"), batches);
+            let body = snap.counter("stage.format.bytes_total");
+            assert_eq!(snap.counter("stage.write.bytes_total"), body);
+            assert!(body > 0 && (body as usize) < bytes.len());
+            assert_eq!(
+                snap.histogram("stage.format.service_ns").unwrap().count,
+                batches
+            );
+            assert_eq!(
+                snap.histogram("stage.write.flush_ns").unwrap().count,
+                batches
+            );
+            // Shard and assemble: every batch visits every shard; the
+            // assembler reassembles each exactly once. The per-record
+            // anonymise timing belongs to the serial tail alone.
+            assert_eq!(snap.counter("anon.shard.batches_total"), fanned);
+            assert_eq!(
+                snap.histogram("stage.shard.service_ns").unwrap().count,
+                fanned
+            );
+            assert_eq!(
+                snap.histogram("stage.assemble.service_ns").unwrap().count,
+                batches
+            );
+            assert!(snap.histogram("stage.anonymize.service_ns").is_none());
+            // Each id is resolved by exactly one shard, so the summed
+            // resolution counts cover at least one clientID per record
+            // (the peer) without double counting. The mixed workload
+            // carries fileIDs, so the probe ledger has work in it.
+            assert!(snap.counter("anon.shard.client_ids_total") >= stats.records);
+            assert!(stats.fileid_probes.inserts > 0 && stats.fileid_probes.probes > 0);
+            // Per-shard balance ledgers (the monitor panel's feed): each
+            // shard saw every batch exactly once, the per-shard
+            // resolution counts tile the aggregates, and every backlog
+            // drained.
+            let mut cid_sum = 0;
+            let mut fid_sum = 0;
+            for s in 0..shards {
+                assert_eq!(
+                    snap.counter(&format!("anon.shard{s}.batches_total")),
+                    batches,
+                    "shard {s} batch count"
+                );
+                cid_sum += snap.counter(&format!("anon.shard{s}.client_ids_total"));
+                fid_sum += snap.counter(&format!("anon.shard{s}.file_ids_total"));
+                assert_eq!(snap.gauge(&format!("anon.shard{s}.queue_depth")), 0);
+            }
+            assert_eq!(cid_sum, snap.counter("anon.shard.client_ids_total"));
+            assert_eq!(fid_sum, snap.counter("anon.shard.file_ids_total"));
+            // Every tail queue fully drained at exit.
+            for chan in ["fmt_in", "write_in", "shard_in", "shard_out", "asm_in"] {
+                assert_eq!(
+                    snap.gauge(&format!("chan.{chan}.depth")),
+                    0,
+                    "{chan} at {shards} shards"
+                );
+            }
+        }
     }
 
     #[test]
-    fn sharded_tail_reports_shard_and_assemble_stages() {
-        let frames = frames_for(&mixed_msgs(200));
-        let registry = Registry::new();
-        let (bytes, _, stats) = batched_dataset(
-            frames,
-            2,
-            &PipelineOptions::default(),
-            TailConfig {
-                batch_records: 32,
-                batch_queue: 4,
-                anon_shards: 4,
-            },
-            &registry,
-        );
-        assert!(!bytes.is_empty());
-        let snap = registry.snapshot();
-        let batches = stats.records.div_ceil(32);
-        // Every batch visits every shard; the assembler reassembles each
-        // exactly once.
-        assert_eq!(snap.counter("anon.shard.batches_total"), batches * 4);
-        assert_eq!(
-            snap.histogram("stage.shard.service_ns").unwrap().count,
-            batches * 4
-        );
-        assert_eq!(
-            snap.histogram("stage.assemble.service_ns").unwrap().count,
-            batches
-        );
-        // Each id is resolved by exactly one shard, so the summed
-        // resolution counts cover at least one clientID per record (the
-        // peer) without double counting.
-        assert!(snap.counter("anon.shard.client_ids_total") >= stats.records);
-        // The mixed workload carries fileIDs, so the aggregated bucket
-        // probe work is visible.
-        assert!(snap.counter("anon.shard.inserts_total") > 0);
-        assert!(snap.counter("anon.shard.probes_total") > 0);
-        // Record accounting still runs through the shared tail stages.
-        assert_eq!(snap.counter("stage.format.records_total"), stats.records);
-        assert_eq!(snap.counter("stage.sink.records_total"), stats.records);
-        // All shard-pool queues fully drained at exit.
-        assert_eq!(snap.gauge("chan.shard_in.depth"), 0);
-        assert_eq!(snap.gauge("chan.shard_out.depth"), 0);
-        assert_eq!(snap.gauge("chan.asm_in.depth"), 0);
-        // Per-shard balance ledgers (the monitor panel's feed): each
-        // shard saw every batch exactly once, the per-shard resolution
-        // counts tile the aggregates, and every backlog drained.
-        let mut cid_sum = 0;
-        let mut fid_sum = 0;
-        for s in 0..4 {
-            assert_eq!(
-                snap.counter(&format!("anon.shard{s}.batches_total")),
-                batches,
-                "shard {s} batch count"
+    fn probe_ledger_matches_across_tails() {
+        // Fig. 3's polluted stream under FIRST_TWO: forged ids pile into
+        // bucket 0, so probes run deep and inserts shift.
+        let msgs: Vec<(u32, Message)> = (0..240u64)
+            .map(|i| {
+                let file_ids = vec![
+                    FileId::forged(i * 7 % 90, [0x00, 0x00]),
+                    FileId::of_identity(i % 40),
+                ];
+                ((i % 23) as u32, Message::GetSources { file_ids })
+            })
+            .collect();
+        let frames = frames_for(&msgs);
+        let scheme = |cp: Option<&PipelineCheckpoint>| match cp {
+            Some(cp) => PaperScheme::from_orders(
+                16,
+                ByteSelector::FIRST_TWO,
+                &cp.client_order,
+                &cp.file_order,
+            ),
+            None => PaperScheme::from_orders(16, ByteSelector::FIRST_TWO, &[], &[]),
+        };
+        let opts = |cp: Option<&PipelineCheckpoint>| PipelineOptions {
+            checkpoint_interval_us: 60_000_000,
+            resume: cp.map(|cp| ResumePoint {
+                records: cp.records,
+                virtual_us: cp.virtual_us,
+                next_checkpoint_us: cp.next_checkpoint_us,
+            }),
+            faults: None,
+            trace: None,
+        };
+        let serial = |cp: Option<&PipelineCheckpoint>| {
+            let mut cuts = Vec::new();
+            let (stats, _) = run_capture_pipeline_with(
+                frames.clone().into_iter(),
+                2,
+                scheme(cp),
+                &Registry::disabled(),
+                &opts(cp),
+                |_| {},
+                |c| cuts.push(c),
             );
-            cid_sum += snap.counter(&format!("anon.shard{s}.client_ids_total"));
-            fid_sum += snap.counter(&format!("anon.shard{s}.file_ids_total"));
-            assert_eq!(snap.gauge(&format!("anon.shard{s}.queue_depth")), 0);
+            (stats.fileid_probes, cuts)
+        };
+        let (fresh, cuts) = serial(None);
+        assert_eq!(fresh.probes, 2 * 240);
+        assert!(fresh.max_shift > 0 && fresh.max_probe_depth > 1);
+        // The restored state is not the resumed run's work.
+        let cut = &cuts[1];
+        let (resumed, _) = serial(Some(cut));
+        assert_eq!(resumed.probes, 2 * (240 - cut.records));
+        for shards in [1usize, 4] {
+            for (cp, expected) in [(None, fresh), (Some(cut), resumed)] {
+                let (stats, _, _) = run_capture_pipeline_batched(
+                    frames.clone().into_iter(),
+                    2,
+                    scheme(cp),
+                    &Registry::disabled(),
+                    &opts(cp),
+                    TailConfig {
+                        batch_records: 16,
+                        batch_queue: 2,
+                        anon_shards: shards,
+                    },
+                    DatasetWriter::new(Vec::new()).unwrap(),
+                    |_, _| {},
+                )
+                .unwrap();
+                assert_eq!(
+                    stats.fileid_probes,
+                    expected,
+                    "{shards} shards, resumed: {}",
+                    cp.is_some()
+                );
+            }
         }
-        assert_eq!(cid_sum, snap.counter("anon.shard.client_ids_total"));
-        assert_eq!(fid_sum, snap.counter("anon.shard.file_ids_total"));
     }
 
     #[test]

@@ -319,11 +319,11 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     }
     let total_virtual_secs = config.generator.duration_secs;
 
-    // Drive the batched tail (anonymise→format→write) so the monitor
-    // shows the formatter/writer stage counters; the dataset itself goes
-    // to a sink — monitoring is about vitals, not output. `--shards N`
-    // routes the anonymise stage through the shard pool, lighting up the
-    // q_sh/q_asm columns.
+    // Drive the writer tail (shard→assemble→format→write) so the monitor
+    // shows the shard pool's and the formatter/writer stage counters; the
+    // dataset itself goes to a sink — monitoring is about vitals, not
+    // output. `--shards N` sizes the shard pool behind the q_sh/q_asm
+    // columns; two or more shards also light up the balance panel.
     let tail = TailConfig {
         anon_shards: shards,
         ..TailConfig::default()
@@ -538,8 +538,7 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
         snap.counter("ring.lost_total"),
         snap.gauge("chan.decode_in.depth"),
         // Shard-pool vitals: fan-out depth (shard_in + shard_out share
-        // the pool's channels) and the assembler's batch queue. Flat
-        // zero on a serial (--shards 1) run.
+        // the pool's channels) and the assembler's batch queue.
         snap.gauge("chan.shard_in.depth") + snap.gauge("chan.shard_out.depth"),
         snap.gauge("chan.asm_in.depth"),
         snap.gauge("chan.fmt_in.depth"),
@@ -551,8 +550,8 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
 /// The `--top` dashboard: one row per pipeline stage, driven entirely
 /// by the `stage.<name>.latency_ns` / `queue_wait_ns` / `util_permille`
 /// instruments the stage-span layer maintains, plus the input-queue
-/// depth gauges. Stages that have not run yet (e.g. the shard pool on a
-/// serial tail) are omitted.
+/// depth gauges. Stages that have not run yet (e.g. the shard pool
+/// before its first batch) are omitted.
 fn print_top(
     snap: &Snapshot,
     prev: &Snapshot,
@@ -637,7 +636,7 @@ fn print_top(
 /// The shard-balance panel: one row per anonymiser shard, from the
 /// per-shard `anon.shard<i>.*` ledgers the pipeline maintains next to
 /// the aggregates. Shown only when the shard pool is actually fanned
-/// out (≥2 shards with work), since a serial tail has nothing to skew.
+/// out (≥2 shards with work), since a single shard has nothing to skew.
 /// `skew` is the spread between the busiest and laziest shard in the
 /// refresh window — a persistently hot shard means the id spaces are
 /// striping unevenly across the pool.

@@ -32,7 +32,8 @@
 //! * `matrix` — the CI campaign matrix: clientID widths {2^24, 2^16} ×
 //!   anonymiser shards {1, 4} × source shards {1, 4}; within each width
 //!   every shard combination must produce the byte-identical dataset
-//!   and the identical checkpoint cuts; exits nonzero on any divergence
+//!   and the identical checkpoint cuts of the serial tail's reference
+//!   run; exits nonzero on any divergence
 //! * `swarm [--faults] [--sessions N] [--duration-ms MS]` — the
 //!   real-socket soak gate: the UDP serving loop under a loopback
 //!   client swarm (with sentinel sessions and hostile noise), exact
@@ -712,19 +713,21 @@ fn bench(args: &Args) {
 }
 
 /// The CI campaign matrix (`repro matrix`), run by ci.sh: a faulty
-/// campaign smoke at every cell of clientID width {2^24, 2^16} ×
-/// anonymiser shard count {1, 4} × source shard count {1, 4}, each
-/// streamed through the batched tail with checkpoints. Within a width,
-/// every cell must produce the byte-identical dataset and the identical
-/// checkpoint cuts as the serial (1 anon shard, 1 source shard) cell —
-/// the sharded anonymiser's and sharded traffic source's portability
-/// guarantee, exercised at both the narrow test width and the wide
-/// default where clientIDs stripe across every shard's sub-table.
-/// Exits nonzero on any divergence.
+/// campaign smoke at clientID widths {2^24, 2^16}. Each width's
+/// reference is the serial tail: records written one at a time with
+/// `DatasetWriter::write_record`, `writer_bytes` stamped into each cut
+/// as `repro soak` does. Every writer-tail cell — anonymiser shard
+/// count {1, 4} × source shard count {1, 4} — must produce the
+/// byte-identical dataset and the identical checkpoint cuts. That is
+/// the writer tail's and the sharded traffic source's portability
+/// guarantee, checked against an independent implementation at both
+/// the narrow test width and the wide default where clientIDs stripe
+/// across every shard's sub-table. Exits nonzero on any divergence.
 fn matrix() {
     use edonkey_ten_weeks::core::campaign::try_run_campaign_to_writer;
     use edonkey_ten_weeks::core::pipeline::TailConfig;
     use edonkey_ten_weeks::xmlout::writer::DatasetWriter;
+    use std::cell::RefCell;
 
     const WIDTHS: [u32; 2] = [24, 16];
     const SHARDS: [usize; 2] = [1, 4];
@@ -737,16 +740,55 @@ fn matrix() {
         "  {:<8} {:>6} {:>6} {:>9} {:>11} {:>7}  verdict",
         "width", "anon", "src", "records", "bytes", "wall_s"
     );
+    let invalid = |e: &dyn std::fmt::Display| -> ! {
+        eprintln!("invalid matrix configuration: {e}");
+        std::process::exit(2);
+    };
     for width in WIDTHS {
-        let mut reference: Option<(Vec<u8>, Vec<Checkpoint>, u64)> = None;
+        let config = |src_shards: usize| {
+            let mut config = CampaignConfig::tiny_faulty();
+            config.population.id_space_bits = width;
+            config.client_space_bits = width;
+            config.generator.duration_secs = 600;
+            config.checkpoint_interval_secs = 120;
+            config.source.source_shards = src_shards;
+            config
+        };
+        // etwlint: allow(no-wall-clock): operator-facing elapsed-time
+        // print in the binary, not simulation state.
+        let started = Instant::now();
+        let writer = RefCell::new(DatasetWriter::new(Vec::new()).expect("vec write"));
+        let ref_cps: RefCell<Vec<Checkpoint>> = RefCell::new(Vec::new());
+        let reference = try_run_campaign_checkpointed(
+            &config(1),
+            &Registry::disabled(),
+            |r| writer.borrow_mut().write_record(&r).expect("vec write"),
+            |mut cp| {
+                cp.writer_bytes = writer.borrow().bytes_written();
+                ref_cps.borrow_mut().push(cp);
+            },
+        )
+        .unwrap_or_else(|e| invalid(&e));
+        let ref_bytes = writer.into_inner().finish().expect("vec write");
+        let ref_cps = ref_cps.into_inner();
+        println!(
+            "  2^{width:<6} {:>6} {:>6} {:>9} {:>11} {:>7.2}  reference",
+            "serial",
+            1,
+            grouped(reference.records),
+            grouped(ref_bytes.len() as u64),
+            started.elapsed().as_secs_f64()
+        );
+        gate.check(
+            ref_cps.len() >= 2,
+            &format!("width 2^{width}: campaign cut at least 2 checkpoints"),
+        );
+        gate.check(
+            reference.records > 0,
+            &format!("width 2^{width}: campaign produced records"),
+        );
         for shards in SHARDS {
             for src_shards in SRC_SHARDS {
-                let mut config = CampaignConfig::tiny_faulty();
-                config.population.id_space_bits = width;
-                config.client_space_bits = width;
-                config.generator.duration_secs = 600;
-                config.checkpoint_interval_secs = 120;
-                config.source.source_shards = src_shards;
                 let tail = TailConfig {
                     anon_shards: shards,
                     ..TailConfig::default()
@@ -756,26 +798,18 @@ fn matrix() {
                 let started = Instant::now();
                 let mut cps: Vec<Checkpoint> = Vec::new();
                 let (report, writer) = try_run_campaign_to_writer(
-                    &config,
+                    &config(src_shards),
                     &Registry::disabled(),
                     tail,
                     DatasetWriter::new(Vec::new()).expect("vec write"),
                     |cp| cps.push(cp),
                 )
-                .unwrap_or_else(|e| {
-                    eprintln!("invalid matrix configuration: {e}");
-                    std::process::exit(2);
-                });
+                .unwrap_or_else(|e| invalid(&e));
                 let bytes = writer.finish().expect("vec write");
-                let verdict = match &reference {
-                    None => "reference".to_owned(),
-                    Some((ref_bytes, ref_cps, _)) => {
-                        if &bytes == ref_bytes && &cps == ref_cps {
-                            "identical".to_owned()
-                        } else {
-                            "DIVERGED".to_owned()
-                        }
-                    }
+                let verdict = if bytes == ref_bytes && cps == ref_cps {
+                    "identical"
+                } else {
+                    "DIVERGED"
                 };
                 println!(
                     "  2^{width:<6} {shards:>6} {src_shards:>6} {:>9} {:>11} {:>7.2}  {verdict}",
@@ -783,43 +817,28 @@ fn matrix() {
                     grouped(bytes.len() as u64),
                     started.elapsed().as_secs_f64()
                 );
-                match &reference {
-                    None => {
-                        gate.check(
-                            cps.len() >= 2,
-                            &format!("width 2^{width}: campaign cut at least 2 checkpoints"),
-                        );
-                        gate.check(
-                            report.records > 0,
-                            &format!("width 2^{width}: campaign produced records"),
-                        );
-                        reference = Some((bytes, cps, report.records));
-                    }
-                    Some((ref_bytes, ref_cps, ref_records)) => {
-                        let cell =
-                            format!("width 2^{width}, {shards} anon / {src_shards} source shards");
-                        gate.check(
-                            report.records == *ref_records,
-                            &format!("{cell}: record count matches serial cell"),
-                        );
-                        gate.check(
-                            &bytes == ref_bytes,
-                            &format!("{cell}: dataset byte-identical to serial cell"),
-                        );
-                        gate.check(
-                            &cps == ref_cps,
-                            &format!("{cell}: checkpoint cuts identical to serial cell"),
-                        );
-                    }
-                }
+                let cell = format!("width 2^{width}, {shards} anon / {src_shards} source shards");
+                gate.check(
+                    report.records == reference.records,
+                    &format!("{cell}: record count matches the serial reference"),
+                );
+                gate.check(
+                    bytes == ref_bytes,
+                    &format!("{cell}: dataset byte-identical to the serial reference"),
+                );
+                gate.check(
+                    cps == ref_cps,
+                    &format!("{cell}: checkpoint cuts identical to the serial reference"),
+                );
             }
         }
     }
 
     if gate.failures.is_empty() {
         println!(
-            "matrix OK ({} cells)",
-            WIDTHS.len() * SHARDS.len() * SRC_SHARDS.len()
+            "matrix OK ({} writer cells against {} serial references)",
+            WIDTHS.len() * SHARDS.len() * SRC_SHARDS.len(),
+            WIDTHS.len()
         );
     } else {
         eprintln!("matrix FAILED: {} violation(s)", gate.failures.len());
