@@ -4,7 +4,7 @@ use etw_anonymize::fileid::ByteSelector;
 use etw_faults::{DirectedRates, FaultSpec, Window};
 use etw_workload::catalog::CatalogParams;
 use etw_workload::clients::PopulationParams;
-use etw_workload::generator::GeneratorParams;
+use etw_workload::session::GeneratorParams;
 
 /// A cross-field configuration invariant violation, found by
 /// [`CampaignConfig::validate`].

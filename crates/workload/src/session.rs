@@ -1,26 +1,26 @@
-//! Sharded per-client session generator — the parallel traffic source.
+//! The client behaviour model: per-client session machines merged into
+//! the time-ordered query stream every campaign captures.
 //!
-//! [`TrafficGenerator`](crate::generator::TrafficGenerator) drives every
-//! client from one shared RNG, so its draw sequence depends on the global
-//! interleaving of client events and cannot be partitioned. This module
-//! re-derives the same behavioural model (same phase machine, same
-//! distributions, same forged-ID scheme) from a **per-client** RNG seeded
-//! by `(campaign seed, global client index)`. Every draw a client ever
-//! makes — session behaviour *and* the wire-level randomness the capture
-//! path needs (corruption, TCP/UDP noise) — comes from its own stream,
-//! which makes the emitted event sequence invariant under any partition
-//! of the population: shard workers own disjoint client subsets and a
-//! k-way merge on `(t_us, gidx)` reproduces the exact single-shard order
-//! (each client has at most one pending event, and `gidx` breaks ties the
-//! same way the serial heap does).
+//! Each client is a small phase machine (connect → announce shares →
+//! announce forged decoys, for polluters → ask about files) driven by its
+//! **own** RNG, seeded by `(campaign seed, global client index)`. Every
+//! draw a client ever makes — session behaviour *and* the wire-level
+//! randomness the capture path needs (corruption, TCP/UDP noise) — comes
+//! from that stream, which makes the emitted event sequence invariant
+//! under any partition of the population: [`SessionShard`] workers own
+//! disjoint client subsets and a k-way merge on `(t_us, gidx)` reproduces
+//! the exact single-shard order (each client has at most one pending
+//! event, and `gidx` breaks ties the same way a single heap does).
 //!
-//! Events carry the query already encoded to wire bytes (built from
-//! per-file blobs precomputed once in [`SourceBlobs`]) plus a compact
-//! [`SrcOp`] so the downstream per-shard server indexes never re-decode.
+//! The stream contains only *client queries*; the directory server
+//! produces the answers, as in the measured system where the capture saw
+//! both directions. Events carry the query already encoded to wire bytes
+//! (built from per-file blobs precomputed once in [`SourceBlobs`]) plus a
+//! compact [`SrcOp`] so the downstream per-shard server indexes never
+//! re-decode; `Message::decode(&event.query)` recovers the full message.
 
 use crate::catalog::Catalog;
 use crate::clients::Population;
-use crate::generator::GeneratorParams;
 use etw_edonkey::ids::{ClientId, FileId};
 use etw_edonkey::tags::special;
 use rand::rngs::StdRng;
@@ -31,6 +31,39 @@ use std::sync::Arc;
 
 /// eDonkey datagram marker byte.
 const MARKER: u8 = 0xE3;
+
+/// Session-model tuning parameters.
+#[derive(Clone, Debug)]
+pub struct GeneratorParams {
+    /// Virtual campaign duration in seconds (the paper: ten weeks).
+    pub duration_secs: u64,
+    /// Probability that an ask is preceded by a metadata search (the
+    /// rest go straight to a source query, e.g. resumed downloads).
+    pub p_search_first: f64,
+    /// Probability that a search carries a file-size constraint.
+    pub p_size_constraint: f64,
+    /// Probability of a management query at connect time.
+    pub p_management: f64,
+    /// Files per OfferFiles announcement message.
+    pub announce_chunk: usize,
+    /// Probability that an announcement uses an oversized chunk (these
+    /// are the datagrams that exceed the MTU and exercise IP
+    /// fragmentation, rare as in the paper).
+    pub p_large_chunk: f64,
+}
+
+impl Default for GeneratorParams {
+    fn default() -> Self {
+        GeneratorParams {
+            duration_secs: 7 * 86_400, // one virtual week by default
+            p_search_first: 0.8,
+            p_size_constraint: 0.15,
+            p_management: 0.5,
+            announce_chunk: 12,
+            p_large_chunk: 0.003,
+        }
+    }
+}
 
 /// Wire-level randomness parameters, pre-drawn per event in the client
 /// stream so frame synthesis downstream stays partition-invariant.
@@ -306,7 +339,6 @@ pub struct SessionShard {
     /// Heap of (t_us, local state index) — gidx order coincides with
     /// local index order within a shard, so local ties break like global.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    emitted: u64,
 }
 
 impl SessionShard {
@@ -338,6 +370,9 @@ impl SessionShard {
         for gidx in (shard..n_clients).step_by(n_shards) {
             let p = &population.clients()[gidx];
             let mut rng = client_rng(seed, gidx as u32);
+            // Pick this client's share set once: repeated Zipf draws give
+            // popular files many providers (Fig. 4) while the *distinct*
+            // count per client follows the class profile (Fig. 6).
             epoch += 1;
             let mut shared: Vec<u32> = Vec::with_capacity(p.n_shared as usize);
             let mut attempts = 0u32;
@@ -350,11 +385,8 @@ impl SessionShard {
                 attempts += 1;
             }
             shared.sort_unstable();
-            let start_us = if params.diurnal {
-                sample_diurnal_arrival(horizon_us, &mut rng)
-            } else {
-                rng.gen_range(0..horizon_us)
-            };
+            // Arrivals spread uniformly over the first 90% of the campaign.
+            let start_us = rng.gen_range(0..horizon_us);
             heap.push(Reverse((start_us, states.len() as u32)));
             states.push(ClientState {
                 gidx: gidx as u32,
@@ -372,19 +404,15 @@ impl SessionShard {
             wire,
             states,
             heap,
-            emitted: 0,
         }
-    }
-
-    /// Events emitted so far by this shard.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     fn schedule(&mut self, li: u32, at_us: u64) {
         if at_us < self.params.duration_secs * 1_000_000 {
             self.heap.push(Reverse((at_us, li)));
         } else {
+            // Campaign over before this client finished: activity is
+            // truncated, as at the real capture's end.
             self.states[li as usize].phase = Phase::Done;
         }
     }
@@ -458,6 +486,11 @@ impl SessionShard {
                 let end = (offset + chunk).min(n_forged);
                 let client = profile.id;
                 let port = profile.port;
+                // Pollution decoys advertise *popular* content names (the
+                // point of pollution) under forged IDs with constant
+                // prefixes — the phenomenon behind the paper's Fig. 3.
+                // Decoys copy the real file's metadata wholesale, so they
+                // do not distort the Fig. 8 size histogram's shape.
                 let prefix = if client.raw().is_multiple_of(2) {
                     [0x00, 0x00]
                 } else {
@@ -549,6 +582,9 @@ impl SessionShard {
         (SrcOp::Sources { file_id }, query)
     }
 
+    /// Picks the next distinct file for a client to ask about. The
+    /// distinctness matters: the paper's Fig. 7 counts *distinct* files
+    /// per client, and the 52-cap spike must stay exact.
     fn pick_ask(&mut self, li: u32) -> u32 {
         for _ in 0..4 {
             let f = {
@@ -561,9 +597,12 @@ impl SessionShard {
             }
         }
         if self.states[li as usize].asked.len() >= self.catalog.len() {
+            // A scanner has asked about the entire catalog; repeats are
+            // the only option left.
             let rng = &mut self.states[li as usize].rng;
             return self.catalog.sample_sought(rng) as u32;
         }
+        // Popular head is crowded; uniform draws terminate quickly.
         loop {
             let f = {
                 let rng = &mut self.states[li as usize].rng;
@@ -575,6 +614,12 @@ impl SessionShard {
         }
     }
 
+    /// Mean gap sized so the client's remaining asks roughly fill the
+    /// remaining campaign time (heavy clients stay active throughout).
+    /// Pacing targets a soft deadline at 97% of the campaign so the last
+    /// ask (and its search→sources follow-up) lands inside the horizon;
+    /// only genuinely late arrivals get truncated, as at a real capture's
+    /// end.
     fn ask_gap(&mut self, li: u32, now_us: u64, done: u32) -> u64 {
         let gidx = self.states[li as usize].gidx;
         let n_asks = self.population.clients()[gidx as usize].n_asks;
@@ -638,20 +683,6 @@ fn chunk_size(rng: &mut StdRng, params: &GeneratorParams) -> usize {
     }
 }
 
-/// Rejection-samples a diurnal arrival (same shape as the serial
-/// generator's profile: evening peak, early-morning trough).
-fn sample_diurnal_arrival<R: Rng + ?Sized>(horizon_us: u64, rng: &mut R) -> u64 {
-    use std::f64::consts::TAU;
-    loop {
-        let t = rng.gen_range(0..horizon_us);
-        let day_phase = (t as f64 / 1e6) / 86_400.0;
-        let density = 1.0 + 0.6 * (TAU * (day_phase - 0.33)).sin();
-        if rng.gen_range(0.0..1.6) < density {
-            return t;
-        }
-    }
-}
-
 impl Iterator for SessionShard {
     type Item = SrcEvent;
 
@@ -661,7 +692,6 @@ impl Iterator for SessionShard {
                 let wire = self.draw_wire(li, op.has_answer());
                 let s = &self.states[li as usize];
                 let profile = &self.population.clients()[s.gidx as usize];
-                self.emitted += 1;
                 return Some(SrcEvent {
                     t_us: now_us,
                     gidx: s.gidx,
@@ -678,8 +708,7 @@ impl Iterator for SessionShard {
 }
 
 /// Serially k-way-merges `shards` into the global `(t_us, gidx)` order —
-/// the reference merge the threaded source must reproduce. Used by tests
-/// and by the single-shard fast path.
+/// the reference merge the threaded source must reproduce.
 pub struct MergedSessions {
     shards: Vec<SessionShard>,
     heads: Vec<Option<SrcEvent>>,
@@ -905,6 +934,53 @@ mod tests {
             offers > 50 && searches > 100,
             "{offers} offers, {searches} searches"
         );
+    }
+
+    /// A client's legitimate announcements never exceed its profiled
+    /// share count, and small sharers announce something.
+    #[test]
+    fn announcements_cover_shared_files() {
+        let (catalog, pop, blobs) = setup(150, 2000);
+        let events = MergedSessions::new(
+            catalog.clone(),
+            pop.clone(),
+            blobs,
+            params(86_400),
+            wire_params(),
+            5,
+            3,
+        );
+        use std::collections::HashMap;
+        let mut announced: HashMap<u32, HashSet<FileId>> = HashMap::new();
+        for e in events {
+            if let SrcOp::Offer(entries) = &e.op {
+                let set = announced.entry(e.client.raw()).or_default();
+                for en in entries {
+                    // Forged decoys borrow a catalog file's metadata but
+                    // not its ID.
+                    if en.file_id == catalog.file(en.file_idx as usize).id {
+                        set.insert(en.file_id);
+                    }
+                }
+            }
+        }
+        let mut checked = 0;
+        for p in pop.clients().iter().filter(|p| p.n_shared > 0) {
+            if let Some(set) = announced.get(&p.id.raw()) {
+                // Zipf dedup may give slightly fewer distinct files than
+                // requested for very large shares; a day is long enough
+                // that campaign-end truncation does not bite.
+                assert!(
+                    set.len() as u32 <= p.n_shared,
+                    "client shared more than profiled"
+                );
+                if p.n_shared <= 100 {
+                    assert!(!set.is_empty(), "client announced nothing");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 50, "too few announcing clients checked");
     }
 
     #[test]

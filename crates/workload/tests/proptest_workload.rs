@@ -1,12 +1,13 @@
-//! Property tests for the synthetic population and traffic generator:
+//! Property tests for the synthetic population and the session model:
 //! the invariants every campaign run relies on.
 
 use etw_edonkey::messages::Message;
 use etw_workload::catalog::{Catalog, CatalogParams};
 use etw_workload::clients::{ClientClass, Population, PopulationParams};
-use etw_workload::generator::{GeneratorParams, TrafficGenerator};
+use etw_workload::session::{GeneratorParams, SessionShard, SourceBlobs, SrcOp, WireParams};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 fn small_catalog(n_files: usize, seed: u64) -> Catalog {
     Catalog::generate(
@@ -15,6 +16,32 @@ fn small_catalog(n_files: usize, seed: u64) -> Catalog {
             ..CatalogParams::default()
         },
         seed,
+    )
+}
+
+/// The whole population's event stream from one shard, with a
+/// campaign's default wire-noise rates.
+fn sessions(catalog: Catalog, pop: Population, duration_secs: u64, seed: u64) -> SessionShard {
+    let blobs = SourceBlobs::build(&catalog);
+    let params = GeneratorParams {
+        duration_secs,
+        ..GeneratorParams::default()
+    };
+    let wire = WireParams {
+        p_corrupt: 0.0068,
+        p_corrupt_structural: 0.78,
+        p_tcp_noise: 0.8,
+        p_udp_noise: 0.01,
+    };
+    SessionShard::new(
+        Arc::new(catalog),
+        Arc::new(pop),
+        Arc::new(blobs),
+        params,
+        wire,
+        seed,
+        0,
+        1,
     )
 }
 
@@ -40,17 +67,15 @@ proptest! {
             },
             seed ^ 1,
         );
-        let params = GeneratorParams {
-            duration_secs: duration,
-            ..GeneratorParams::default()
-        };
         let mut last = 0u64;
         let mut n = 0u64;
-        for ev in TrafficGenerator::new(&catalog, &pop, params, seed ^ 2) {
-            prop_assert!(ev.t.0 >= last, "time went backwards");
-            prop_assert!(ev.t.as_secs() < duration);
-            prop_assert!(ev.msg.is_client_to_server());
-            last = ev.t.0;
+        for ev in sessions(catalog, pop, duration, seed ^ 2) {
+            prop_assert!(ev.t_us >= last, "time went backwards");
+            prop_assert!(ev.t_us < duration * 1_000_000);
+            let msg = Message::decode(&ev.query);
+            prop_assert!(msg.is_ok(), "query does not decode: {:?}", ev.op);
+            prop_assert!(msg.unwrap().is_client_to_server());
+            last = ev.t_us;
             n += 1;
         }
         prop_assert!(n > 0);
@@ -76,17 +101,13 @@ proptest! {
             .iter()
             .map(|c| (c.id.raw(), c.n_shared + c.n_forged))
             .collect();
-        let params = GeneratorParams {
-            duration_secs: 2_000,
-            ..GeneratorParams::default()
-        };
         let mut announced: HashMap<u32, HashSet<etw_edonkey::FileId>> = HashMap::new();
-        for ev in TrafficGenerator::new(&catalog, &pop, params, seed ^ 4) {
+        for ev in sessions(catalog, pop, 2_000, seed ^ 4) {
             prop_assert!(members.contains_key(&ev.client.raw()), "unknown sender");
-            if let Message::OfferFiles { files } = &ev.msg {
+            if let SrcOp::Offer(entries) = &ev.op {
                 let set = announced.entry(ev.client.raw()).or_default();
-                for f in files {
-                    set.insert(f.file_id);
+                for e in entries {
+                    set.insert(e.file_id);
                 }
             }
         }

@@ -10,6 +10,7 @@
 //! cargo run --release --example active_probe
 //! ```
 
+use edonkey_ten_weeks::core::CampaignConfig;
 use edonkey_ten_weeks::edonkey::{ClientId, Message};
 use edonkey_ten_weeks::probe::estimate::chao1;
 use edonkey_ten_weeks::probe::prober::{estimate_index_size, popularity_bias, ActiveProber};
@@ -17,18 +18,21 @@ use edonkey_ten_weeks::server::engine::ServerEngine;
 use edonkey_ten_weeks::telemetry::Registry;
 use edonkey_ten_weeks::workload::catalog::{Catalog, CatalogParams};
 use edonkey_ten_weeks::workload::clients::{Population, PopulationParams};
-use edonkey_ten_weeks::workload::generator::{GeneratorParams, TrafficGenerator};
+use edonkey_ten_weeks::workload::session::{
+    GeneratorParams, SessionShard, SourceBlobs, SrcOp, WireParams,
+};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 fn main() {
     // Populate a live server through ordinary client announcements.
-    let catalog = Catalog::generate(
+    let catalog = Arc::new(Catalog::generate(
         &CatalogParams {
             n_files: 20_000,
             ..CatalogParams::default()
         },
         1,
-    );
+    ));
     let population = Population::generate(
         &PopulationParams {
             n_clients: 2_000,
@@ -37,19 +41,32 @@ fn main() {
         },
         2,
     );
-    let mut server = ServerEngine::default();
-    let generator = TrafficGenerator::new(
-        &catalog,
-        &population,
+    // The session model campaigns run, with a default campaign's
+    // wire-noise rates (they shape each client's RNG stream).
+    let defaults = CampaignConfig::default();
+    let sessions = SessionShard::new(
+        Arc::clone(&catalog),
+        Arc::new(population),
+        Arc::new(SourceBlobs::build(&catalog)),
         GeneratorParams {
             duration_secs: 2 * 3_600,
             ..GeneratorParams::default()
         },
+        WireParams {
+            p_corrupt: defaults.p_corrupt,
+            p_corrupt_structural: defaults.p_corrupt_structural,
+            p_tcp_noise: defaults.p_tcp_noise,
+            p_udp_noise: defaults.p_udp_noise,
+        },
         3,
+        0,
+        1,
     );
-    for ev in generator {
-        if matches!(ev.msg, Message::OfferFiles { .. }) {
-            server.handle(ev.client, &ev.msg);
+    let mut server = ServerEngine::default();
+    for ev in sessions {
+        if let SrcOp::Offer(_) = ev.op {
+            let msg = Message::decode(&ev.query).expect("session queries decode");
+            server.handle(ev.client, &msg);
         }
     }
     let truth = server.index().file_count();

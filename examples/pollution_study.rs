@@ -4,79 +4,62 @@
 //! arrays are indexed by the first two fileID bytes, and a different
 //! byte pair fixes it.
 //!
-//! Sweeps the polluter share of the population and prints, for each
-//! level, the bucket imbalance under both selectors — showing the
-//! phenomenon appears *only* with pollution and *only* under first-two-
-//! bytes indexing.
+//! Sweeps the polluter share of the population, runs one small campaign
+//! per level, and prints the campaign's fileID bucket imbalance under
+//! both selectors — showing the phenomenon appears *only* with pollution
+//! and *only* under first-two-bytes indexing.
 //!
 //! ```text
 //! cargo run --release --example pollution_study
 //! ```
 
-use edonkey_ten_weeks::anonymize::fileid::{BucketedArrays, ByteSelector, FileIdAnonymizer};
-use edonkey_ten_weeks::edonkey::Message;
-use edonkey_ten_weeks::workload::catalog::{Catalog, CatalogParams};
-use edonkey_ten_weeks::workload::clients::{ClassMix, Population, PopulationParams};
-use edonkey_ten_weeks::workload::generator::{GeneratorParams, TrafficGenerator};
+use edonkey_ten_weeks::core::{run_campaign, CampaignConfig};
+use edonkey_ten_weeks::workload::{CatalogParams, ClassMix, GeneratorParams, PopulationParams};
 
 fn main() {
-    let catalog = Catalog::generate(
-        &CatalogParams {
-            n_files: 5_000,
-            ..CatalogParams::default()
-        },
-        1,
-    );
-
     println!(
         "{:>12} {:>14} {:>14} {:>10} {:>10}",
         "polluter %", "max(first2)", "max(altbytes)", "bucket0", "bucket256"
     );
 
     for polluter_pct in [0.0, 0.5, 1.0, 2.0, 5.0] {
-        let mix = ClassMix {
-            polluter: polluter_pct / 100.0,
-            ..ClassMix::paper_like()
-        };
-        let population = Population::generate(
-            &PopulationParams {
-                n_clients: 1_000,
-                id_space_bits: 20,
-                mix,
-                ..PopulationParams::default()
+        let population = PopulationParams {
+            n_clients: 1_000,
+            id_space_bits: 20,
+            mix: ClassMix {
+                polluter: polluter_pct / 100.0,
+                ..ClassMix::paper_like()
             },
-            2,
-        );
-        let generator = TrafficGenerator::new(
-            &catalog,
-            &population,
-            GeneratorParams {
+            ..PopulationParams::default()
+        };
+        let config = CampaignConfig {
+            catalog: CatalogParams {
+                n_files: 5_000,
+                ..CatalogParams::default()
+            },
+            client_space_bits: population.id_space_bits,
+            population,
+            generator: GeneratorParams {
                 duration_secs: 3_600,
                 ..GeneratorParams::default()
             },
-            3,
-        );
-
-        // Feed every announced fileID through both stores, exactly as
-        // the capture machine's anonymiser would.
-        let mut first = BucketedArrays::new(ByteSelector::FIRST_TWO);
-        let mut alt = BucketedArrays::new(ByteSelector::ALTERNATIVE);
-        for ev in generator {
-            if let Message::OfferFiles { files } = &ev.msg {
-                for e in files {
-                    first.anonymize(&e.file_id);
-                    alt.anonymize(&e.file_id);
-                }
-            }
-        }
-        let sizes = first.bucket_sizes();
+            ..CampaignConfig::default()
+        };
+        // Both bucket tables count every fileID the campaign's anonymiser
+        // saw: the alternative selector's are its own arrays, the
+        // first-two-bytes ones are recounted from them at campaign end.
+        let report = run_campaign(&config, |_| {});
+        let first = report
+            .bucket_sizes_first_two
+            .expect("campaigns always derive the FIRST_TWO sizes");
+        let alt = &report.bucket_sizes_alternative;
         println!(
             "{:>12.1} {:>14} {:>14} {:>10} {:>10}",
             polluter_pct,
-            first.max_bucket_size(),
-            alt.max_bucket_size(),
-            sizes[0],
-            sizes[256],
+            first.iter().max().unwrap_or(&0),
+            alt.iter().max().unwrap_or(&0),
+            first[0],
+            first[256],
         );
     }
 

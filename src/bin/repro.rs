@@ -101,6 +101,12 @@ struct Args {
 /// Where `repro bench --record` writes the baseline this PR commits.
 const RECORD_PATH: &str = "BENCH_PR10.json";
 
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: [&str; 14] = [
+    "t1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "health", "soak", "bench",
+    "matrix", "swarm", "all",
+];
+
 fn parse_args() -> Args {
     let mut tiny = false;
     let mut out = PathBuf::from("results");
@@ -193,6 +199,11 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    // Reject a bad name before anything runs or touches the disk.
+    if !EXPERIMENTS.contains(&args.what.as_str()) {
+        eprintln!("unknown experiment {:?}; try --help", args.what);
+        std::process::exit(2);
+    }
     fs::create_dir_all(&args.out).expect("create output dir");
     if args.what == "soak" {
         soak(&args.out, args.faults, args.soak_seed);
@@ -234,10 +245,7 @@ fn main() {
             fig8(c, &args.out);
             health(c, &args.out, args.tiny);
         }
-        other => {
-            eprintln!("unknown experiment {other:?}; try --help");
-            std::process::exit(2);
-        }
+        other => unreachable!("EXPERIMENTS lists {other:?} but main has no arm for it"),
     }
 }
 
