@@ -28,9 +28,11 @@ perfbench|benchmark workspace tests: sharded source vs serial engine answers, wr
 soak|kill+resume byte identity, fault ledgers|cargo run -q --release --bin repro -- soak --faults --out target/soak
 swarm|real-socket loopback soak: impaired client swarm, exact conservation, live-capture canary|cargo run -q --release --bin repro -- swarm --faults --out target/swarm
 bench|stage + end-to-end throughput, decode-ratio + swarm floors, trajectory vs newest BENCH_PR*.json|cargo run -q --release --bin repro -- bench --smoke --out target/bench
+ablations|paper ablations A1-A6, figure, codec and distinct-counting rows, one repeat each (no gate: must exit 0)|cargo run -q --release --bin repro -- ablations --smoke
 matrix|campaign matrix: widths 2^24/2^16 x anon shards 1/4 x source shards 1/4, byte-identical datasets|cargo run -q --release --bin repro -- matrix
 trace|flight recorder: injected crashes must dump parseable flight_*.etwtrace|cargo run -q --release --bin etwtool -- trace-check --dir target/ci/flight
 clippy|cargo clippy -D warnings|cargo clippy --workspace --all-targets -- -D warnings
+doc|rustdoc -D warnings: every intra-doc link resolves|RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 etwlint|repo-specific static analysis + taint pass; SARIF under target/ci/|cargo run -q --release -p etwlint && cargo run -q --release -p etwlint -- --format sarif > target/ci/etwlint.sarif && cargo test -q -p etwlint --test fixture_corpus
 interleave|exhaustive schedule checks (incl. shard conservation)|cargo test -q -p etw-interleave
 fmt|cargo fmt --check|cargo fmt --check

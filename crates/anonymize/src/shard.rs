@@ -413,7 +413,7 @@ impl Assembler {
         f.distinct = self.file_order.len() as u64;
     }
 
-    /// Constructs the batch's records after [`finish_batch`]
+    /// Constructs the batch's records after [`Assembler::finish_batch`]
     /// (allocation-reusing; `out` must keep its stale records — see
     /// [`AnonymizationScheme::anonymize_batch_reuse`]). Asserts that the
     /// construction walk consumed exactly the ids the visit pass

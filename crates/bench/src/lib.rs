@@ -1,29 +1,24 @@
 //! # etw-bench — benchmark harness
 //!
-//! Criterion benches regenerating the paper's evaluation:
+//! One harness, two experiments of the `repro` binary, both timing with
+//! [`harness::time_best_of`]:
 //!
-//! | bench | reproduces |
-//! |---|---|
-//! | `anonymize_clientid` | ablation A1: direct array vs hashtable vs tree (§2.4) |
-//! | `anonymize_fileid` | ablation A2: bucketed sorted arrays vs baselines; byte selector under pollution (§2.4, Fig. 3) |
-//! | `decode` | ablation A3: two-step decoder throughput, early reject (§2.3) |
-//! | `capture` | ablation A4: ring capacity vs loss (Fig. 2 mechanics) |
-//! | `pipeline` | ablation A5: end-to-end capture machine, worker sweep (Fig. 1) |
-//! | `figures` | per-figure statistic extraction cost (§3) |
-//! | `extensions` | LZSS dataset codec throughput (§2.4 fn.3), TCP flow reconstruction (conclusion), distinct-counting ablation (§1) |
+//! * `repro bench` ([`suite`]) — the gated throughput suite: the
+//!   decode-only / tail-only / anonymise-only / end-to-end measurements,
+//!   their self-checks, and the ≤ 20% regression gate against the
+//!   committed `BENCH_PR<k>.json` baseline;
+//! * `repro ablations` ([`ablations`]) — the paper's design comparisons
+//!   (ablations A1–A6), the per-figure extraction costs and the codec
+//!   and distinct-counting extensions, printed one row per measurement
+//!   for EXPERIMENTS.md. No gate.
 //!
-//! Run with `cargo bench -p etw-bench` (or `cargo bench -p etw-bench --bench decode`).
-//!
-//! Besides the criterion benches, this crate is the library behind
-//! `repro bench`, the benchmark trajectory gate:
+//! Supporting modules:
 //!
 //! * [`alloc`] — allocation-counting `#[global_allocator]` wrapper, so
 //!   the zero-alloc claims of the batched tail are measured, not trusted;
-//! * [`harness`] — best-of-N timing and the `BENCH_*.json` format;
-//! * [`suite`] — the decode-only / tail-only / end-to-end measurements,
-//!   the ≥ 2× tail-speedup self-check, and the ≤ 20% end-to-end
-//!   regression gate against the committed baseline.
+//! * [`harness`] — best-of-N timing and the `BENCH_*.json` format.
 
+pub mod ablations;
 pub mod alloc;
 pub mod harness;
 pub mod suite;

@@ -48,7 +48,7 @@ use crate::harness::{time_best_of, BenchReport, BenchResult};
 use etw_anonymize::fileid::ByteSelector;
 use etw_anonymize::scheme::{AnonRecord, PaperScheme};
 use etw_anonymize::ShardedAnonymizer;
-use etw_core::campaign::{run_campaign, try_run_campaign_to_writer};
+use etw_core::campaign::{run_campaign, Campaign};
 use etw_core::config::CampaignConfig;
 use etw_core::livecap::LiveCapture;
 use etw_core::pipeline::TailConfig;
@@ -115,7 +115,7 @@ pub const MAX_SWARM_LOSS_PERMILLE: f64 = 50.0;
 pub const MIN_TAIL_SPEEDUP: f64 = 1.7;
 
 /// The anonymise-only speedup floor [`self_checks`] enforces: the
-/// sharded anonymiser at [`ANON_SHARDS`] shards must beat the serial
+/// sharded anonymiser at `ANON_SHARDS` (4) shards must beat the serial
 /// scheme by at least this factor on the bench mix. The win is
 /// algorithmic, not parallel, so it holds on a single-core host too:
 /// the sharded assembler constructs records in place, reusing each
@@ -332,14 +332,14 @@ fn bench_end_to_end_traced(opts: &SuiteOptions, reps: usize) -> BenchResult {
     let mut config = preset("tiny", opts.smoke);
     config.trace_ring_slots = 256;
     let mut run = || {
-        let (report, writer) = try_run_campaign_to_writer(
-            &config,
-            &Registry::new(),
-            TailConfig::default(),
-            DatasetWriter::new(io::sink()).expect("sink writer"),
-            |_| {},
-        )
-        .expect("bench campaign");
+        let (report, writer) = Campaign::new(&config)
+            .registry(&Registry::new())
+            .run_to_writer(
+                TailConfig::default(),
+                DatasetWriter::new(io::sink()).expect("sink writer"),
+                |_| {},
+            )
+            .expect("bench campaign");
         writer.finish().expect("sink write");
         report.records
     };
@@ -354,14 +354,22 @@ fn bench_end_to_end_traced(opts: &SuiteOptions, reps: usize) -> BenchResult {
     }
 }
 
-fn describe(r: &BenchResult) -> String {
+/// One row as `name/preset: N records in T = R records/s` (T in ms
+/// below 0.1 s), the line `repro bench` and `repro ablations` print per
+/// measurement.
+pub(crate) fn describe(r: &BenchResult) -> String {
     let allocs = match r.allocs_per_record {
         Some(a) => format!(", {a:.3} allocs/record"),
         None => String::new(),
     };
+    let wall = if r.wall_secs < 0.1 {
+        format!("{:.3}ms", r.wall_secs * 1e3)
+    } else {
+        format!("{:.3}s", r.wall_secs)
+    };
     format!(
-        "{}/{}: {} records in {:.3}s = {:.0} records/s{}",
-        r.name, r.preset, r.records, r.wall_secs, r.records_per_sec, allocs
+        "{}/{}: {} records in {wall} = {:.0} records/s{}",
+        r.name, r.preset, r.records, r.records_per_sec, allocs
     )
 }
 
@@ -369,8 +377,23 @@ fn describe(r: &BenchResult) -> String {
 /// the two-step eDonkey decoder, single-threaded.
 fn bench_decode_only(opts: &SuiteOptions, reps: usize) -> BenchResult {
     let n = if opts.smoke { 20_000 } else { 50_000 };
-    let frames: Vec<Vec<u8>> = message_mix(n, 0xdec0)
-        .into_iter()
+    let frames = mix_frames(message_mix(n, 0xdec0));
+    let (wall_secs, decoded) = time_best_of(reps, || decode_frames(&frames));
+    assert!(decoded as usize > n / 2, "decode bench mix mostly failed");
+    BenchResult {
+        name: "decode_only".into(),
+        preset: "mix".into(),
+        records: n as u64,
+        wall_secs,
+        records_per_sec: n as f64 / wall_secs,
+        allocs_per_record: None,
+    }
+}
+
+/// Encapsulates encoded messages into ethernet frames, one datagram per
+/// message (fragmented past a 1 500-byte MTU).
+pub(crate) fn mix_frames(msgs: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    msgs.into_iter()
         .enumerate()
         .flat_map(|(i, m)| {
             encapsulate(
@@ -384,31 +407,23 @@ fn bench_decode_only(opts: &SuiteOptions, reps: usize) -> BenchResult {
             .into_iter()
             .map(|f| f.to_bytes())
         })
-        .collect();
+        .collect()
+}
 
-    let mut run = || {
-        let mut wire = WireDecoder::new();
-        let mut decoder = Decoder::new();
-        let mut decoded = 0u64;
-        for f in &frames {
-            if let Recovered::Udp { payload, .. } = wire.push(VirtualTime::ZERO, f) {
-                if let DecodeOutcome::Ok(_) = decoder.push(&payload) {
-                    decoded += 1;
-                }
+/// Runs `frames` through the wire decoder and the two-step eDonkey
+/// decoder on one thread; returns the messages decoded.
+pub(crate) fn decode_frames(frames: &[Vec<u8>]) -> u64 {
+    let mut wire = WireDecoder::new();
+    let mut decoder = Decoder::new();
+    let mut decoded = 0u64;
+    for f in frames {
+        if let Recovered::Udp { payload, .. } = wire.push(VirtualTime::ZERO, f) {
+            if let DecodeOutcome::Ok(_) = decoder.push(&payload) {
+                decoded += 1;
             }
         }
-        decoded
-    };
-    let (wall_secs, decoded) = time_best_of(reps, &mut run);
-    assert!(decoded as usize > n / 2, "decode bench mix mostly failed");
-    BenchResult {
-        name: "decode_only".into(),
-        preset: "mix".into(),
-        records: n as u64,
-        wall_secs,
-        records_per_sec: n as f64 / wall_secs,
-        allocs_per_record: None,
     }
+    decoded
 }
 
 /// [`std::io::Write`] into a borrowed, recycled `Vec<u8>` — the tail
@@ -596,14 +611,13 @@ fn bench_end_to_end(
     reps: usize,
 ) -> BenchResult {
     let mut run = || {
-        let (report, writer) = try_run_campaign_to_writer(
-            config,
-            &Registry::disabled(),
-            TailConfig::default(),
-            DatasetWriter::new(io::sink()).expect("sink writer"),
-            |_| {},
-        )
-        .expect("bench campaign");
+        let (report, writer) = Campaign::new(config)
+            .run_to_writer(
+                TailConfig::default(),
+                DatasetWriter::new(io::sink()).expect("sink writer"),
+                |_| {},
+            )
+            .expect("bench campaign");
         writer.finish().expect("sink write");
         report.records
     };
@@ -907,7 +921,7 @@ pub fn demo_swarm_gates_reject(
 /// A realistic message mix (mostly source searches, some metadata
 /// searches, announcements, management — per the paper's four message
 /// families), encoded to wire bytes for the decode bench.
-fn message_mix(n: usize, seed: u64) -> Vec<Vec<u8>> {
+pub(crate) fn message_mix(n: usize, seed: u64) -> Vec<Vec<u8>> {
     mix_messages(n, seed).iter().map(Message::encode).collect()
 }
 

@@ -1,6 +1,9 @@
 //! The campaign driver: simulate N virtual weeks of server life and run
 //! the capture machine over it, producing the dataset and every number
 //! the paper reports.
+//!
+//! [`Campaign`] is the one entry point; [`run_campaign`] and
+//! [`try_run_campaign_to_writer`] are wrappers over it.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{CampaignConfig, ConfigError};
@@ -21,12 +24,12 @@ use etw_workload::catalog::Catalog;
 use etw_workload::clients::Population;
 use etw_xmlout::writer::DatasetWriter;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::io::{self, Write};
 use std::sync::Arc;
 
-/// Failures of the writer-owning campaign entry points
-/// ([`try_run_campaign_to_writer`] and friends): a bad configuration, or
-/// the dataset writer's sink failing mid-campaign.
+/// Failures of a [`Campaign`] run: a bad configuration or checkpoint,
+/// or the dataset writer's sink failing mid-campaign.
 #[derive(Debug)]
 pub enum CampaignError {
     /// Invalid configuration or checkpoint.
@@ -94,97 +97,216 @@ pub struct CampaignReport {
     /// `Some`: the `Option` is kept so existing readers of this field,
     /// the benchmark's adapter among them, keep compiling.
     pub bucket_sizes_first_two: Option<Vec<usize>>,
-    /// The dataset records accumulated by the caller-provided sink?
-    /// No — records stream through `on_record`; this is their count.
+    /// Dataset records this run emitted, to `on_record` or to the
+    /// dataset writer. A resumed run counts only the records after its
+    /// checkpoint.
     pub records: u64,
-    /// Periodic machine-health records (empty unless the campaign ran
-    /// through [`run_campaign_observed`] with an enabled registry and a
-    /// non-zero `health_interval_secs`).
+    /// Periodic machine-health records: empty unless the campaign ran
+    /// with an enabled registry ([`Campaign::registry`]) and a non-zero
+    /// `health_interval_secs`. Every terminal cuts them.
     pub health: HealthSeries,
 }
 
-/// Runs a full campaign, streaming anonymised records into `on_record`.
+/// One campaign, configured with builder calls and run by one of three
+/// terminals. Each terminal simulates the configured server life, runs
+/// the capture machine over it and returns the [`CampaignReport`]:
+///
+/// * [`Campaign::run`] — the serial tail: records stream into a
+///   callback in capture order;
+/// * [`Campaign::run_reference`] — the serial tail written through
+///   `DatasetWriter::write_record`, one record at a time: the oracle
+///   every writer-tail byte-identity check compares against;
+/// * [`Campaign::run_to_writer`] — the writer tail (see
+///   [`run_capture_pipeline_batched`]): shard pool, assembler,
+///   formatter and writer threads. Its dataset bytes and checkpoints
+///   equal [`Campaign::run_reference`]'s.
+///
+/// With a nonzero `config.checkpoint_interval_secs`, every terminal
+/// hands a [`Checkpoint`] to `on_checkpoint` each time virtual time
+/// crosses an interval boundary. `run` leaves `writer_bytes` at 0 (it
+/// owns no writer); the other two stamp the writer's offset.
+///
+/// ```
+/// use etw_core::campaign::Campaign;
+/// use etw_core::config::CampaignConfig;
+/// use etw_telemetry::Registry;
+///
+/// let registry = Registry::new();
+/// let mut records = 0u64;
+/// let report = Campaign::new(&CampaignConfig::tiny())
+///     .registry(&registry)
+///     .run(|_record| records += 1, |_checkpoint| {})
+///     .expect("valid configuration");
+/// assert_eq!(report.records, records);
+/// ```
+pub struct Campaign<'a> {
+    config: &'a CampaignConfig,
+    registry: Registry,
+    resume: Option<&'a Checkpoint>,
+}
+
+impl<'a> Campaign<'a> {
+    /// A fresh campaign of `config`, unobserved (disabled registry).
+    pub fn new(config: &'a CampaignConfig) -> Self {
+        Campaign {
+            config,
+            registry: Registry::disabled(),
+            resume: None,
+        }
+    }
+
+    /// Reports live telemetry into `registry`: the capture ring, every
+    /// pipeline stage (metric names at [`run_capture_pipeline_with`] and
+    /// `CaptureBuffer::attach_telemetry`) and the traffic source. A
+    /// [`HealthRecorder`] cuts a snapshot every
+    /// `config.health_interval_secs` of virtual time. Callers holding a
+    /// clone of `registry` can snapshot it from another thread while the
+    /// campaign runs; `etwtool monitor` does.
+    pub fn registry(mut self, registry: &Registry) -> Self {
+        self.registry = registry.clone();
+        self
+    }
+
+    /// Resumes an interrupted campaign from `checkpoint`. The anonymiser
+    /// is restored from the checkpoint's appearance orders, the
+    /// deterministic frame stream replays from the seed, and the first
+    /// `checkpoint.records` messages are skipped, so only the remainder
+    /// is emitted. Appended to a dataset truncated to
+    /// `checkpoint.writer_bytes` (reopen it with `DatasetWriter::resume`),
+    /// the output is byte-identical to an uninterrupted run's, whichever
+    /// tail wrote the checkpoint and whichever tail resumes it.
+    ///
+    /// The terminal rejects a checkpoint whose seed differs from the
+    /// config's with `ConfigError::CheckpointMismatch`. The report then
+    /// describes the resumed segment: `records` counts newly emitted
+    /// records, while `distinct_clients` and `distinct_files` cover the
+    /// whole campaign.
+    pub fn resume_from(mut self, checkpoint: &'a Checkpoint) -> Self {
+        self.resume = Some(checkpoint);
+        self
+    }
+
+    /// Runs the serial tail, streaming anonymised records into
+    /// `on_record` in capture order. Checkpoints carry
+    /// `writer_bytes == 0`.
+    pub fn run(
+        self,
+        mut on_record: impl FnMut(AnonRecord),
+        mut on_checkpoint: impl FnMut(Checkpoint),
+    ) -> Result<CampaignReport, CampaignError> {
+        let Campaign {
+            config,
+            registry,
+            resume,
+        } = self;
+        let (report, ()) =
+            campaign_inner_core(config, &registry, resume, |frames, scheme, opts| {
+                let (stats, scheme) = run_capture_pipeline_with(
+                    frames,
+                    config.decode_workers,
+                    scheme,
+                    &registry,
+                    opts,
+                    &mut on_record,
+                    |cut| on_checkpoint(Checkpoint::from_pipeline(config.seed, cut, 0)),
+                );
+                Ok((stats, scheme, ()))
+            })?;
+        Ok(report)
+    }
+
+    /// Runs the serial tail through `writer.write_record`, one record at
+    /// a time, and stamps the writer's offset into each checkpoint's
+    /// `writer_bytes`, ready to persist. This is the reference the
+    /// writer tail is checked against. After the first write error the
+    /// campaign runs to its end without writing and returns that error
+    /// as `CampaignError::Io`. The writer is returned still open: call
+    /// `finish()` to close the document.
+    pub fn run_reference<W: Write>(
+        self,
+        mut writer: DatasetWriter<W>,
+        mut on_checkpoint: impl FnMut(Checkpoint),
+    ) -> Result<(CampaignReport, DatasetWriter<W>), CampaignError> {
+        let written = Cell::new(writer.bytes_written());
+        let mut failed = None;
+        let report = self.run(
+            |record| {
+                if failed.is_none() {
+                    match writer.write_record(&record) {
+                        Ok(()) => written.set(writer.bytes_written()),
+                        Err(e) => failed = Some(e),
+                    }
+                }
+            },
+            |mut cp| {
+                cp.writer_bytes = written.get();
+                on_checkpoint(cp);
+            },
+        )?;
+        match failed {
+            Some(e) => Err(CampaignError::Io(e)),
+            None => Ok((report, writer)),
+        }
+    }
+
+    /// Runs the writer tail (see [`run_capture_pipeline_batched`]): the
+    /// reorder stage hands `tail.batch_records`-record batches to the
+    /// anonymiser's shard pool and assembler, which feed a formatter
+    /// thread while a writer thread flushes finished buffers in order.
+    /// The dataset bytes equal [`Campaign::run_reference`]'s. Checkpoints
+    /// arrive with `writer_bytes` stamped by the writer thread. The
+    /// writer is returned still open: call `finish()` to close the
+    /// document.
+    pub fn run_to_writer<W: Write + Send>(
+        self,
+        tail: TailConfig,
+        writer: DatasetWriter<W>,
+        mut on_checkpoint: impl FnMut(Checkpoint) + Send,
+    ) -> Result<(CampaignReport, DatasetWriter<W>), CampaignError> {
+        // Reject a bad shard count with a typed error here, before the
+        // pipeline's assert would turn it into a panic.
+        if !etw_anonymize::shard::shard_count_valid(tail.anon_shards) {
+            return Err(ConfigError::ShardCountInvalid {
+                got: tail.anon_shards,
+            }
+            .into());
+        }
+        let Campaign {
+            config,
+            registry,
+            resume,
+        } = self;
+        campaign_inner_core(config, &registry, resume, |frames, scheme, opts| {
+            run_capture_pipeline_batched(
+                frames,
+                config.decode_workers,
+                scheme,
+                &registry,
+                opts,
+                tail,
+                writer,
+                |cut, writer_bytes| {
+                    on_checkpoint(Checkpoint::from_pipeline(config.seed, cut, writer_bytes))
+                },
+            )
+            .map_err(CampaignError::Io)
+        })
+    }
+}
+
+/// Runs a full unobserved campaign, streaming anonymised records into
+/// `on_record`: `Campaign::new(config).run(on_record, |_| {})`, panicking
+/// on an invalid configuration.
 pub fn run_campaign(config: &CampaignConfig, on_record: impl FnMut(AnonRecord)) -> CampaignReport {
-    run_campaign_observed(config, &Registry::disabled(), on_record)
-}
-
-/// [`run_campaign`] with live telemetry: the capture ring, every
-/// pipeline stage, and the application-level generators report into
-/// `registry` while the campaign runs (see
-/// [`run_capture_pipeline_observed`] and `CaptureBuffer::attach_telemetry`
-/// for the metric names), and a [`HealthRecorder`] cuts a snapshot
-/// every `config.health_interval_secs` of virtual time. Callers holding
-/// a clone of `registry` can snapshot it concurrently from another
-/// thread — that is what `etwtool monitor` does.
-pub fn run_campaign_observed(
-    config: &CampaignConfig,
-    registry: &Registry,
-    on_record: impl FnMut(AnonRecord),
-) -> CampaignReport {
+    let run = Campaign::new(config).run(on_record, |_| {});
     // etwlint: allow(no-panic-hot-path): config errors are startup-time
-    // caller bugs, not capture-time failures; fallible callers use
-    // try_run_campaign_observed instead.
-    try_run_campaign_observed(config, registry, on_record).expect("invalid campaign configuration")
+    // caller bugs, not capture-time failures; fallible callers build a
+    // Campaign instead.
+    run.expect("invalid campaign configuration")
 }
 
-/// Fallible variant of [`run_campaign_observed`]: validates `config` up
-/// front and returns the typed [`ConfigError`] instead of panicking, so
-/// binaries can report bad configuration gracefully.
-pub fn try_run_campaign_observed(
-    config: &CampaignConfig,
-    registry: &Registry,
-    on_record: impl FnMut(AnonRecord),
-) -> Result<CampaignReport, ConfigError> {
-    campaign_inner(config, registry, None, on_record, |_| {})
-}
-
-/// [`try_run_campaign_observed`] plus resume checkpoints: with a nonzero
-/// `config.checkpoint_interval_secs`, `on_checkpoint` receives a
-/// [`Checkpoint`] each time virtual time crosses an interval boundary.
-/// The campaign fills everything except `writer_bytes`, which only the
-/// owner of the dataset writer knows — set it before persisting (see
-/// `repro soak`).
-pub fn try_run_campaign_checkpointed(
-    config: &CampaignConfig,
-    registry: &Registry,
-    on_record: impl FnMut(AnonRecord),
-    on_checkpoint: impl FnMut(Checkpoint),
-) -> Result<CampaignReport, ConfigError> {
-    campaign_inner(config, registry, None, on_record, on_checkpoint)
-}
-
-/// Resumes an interrupted campaign from `checkpoint`: restores the
-/// anonymiser from its appearance orders, replays the deterministic
-/// frame stream, skips the `checkpoint.records` messages already written
-/// and streams only the remainder into `on_record`. Appended to a
-/// dataset truncated to `checkpoint.writer_bytes`, the output is
-/// byte-identical to an uninterrupted run's.
-///
-/// The returned report describes the *resumed segment*: `records` counts
-/// newly written records, while `distinct_clients`/`distinct_files`
-/// cover the whole campaign (restored state included).
-pub fn try_resume_campaign_observed(
-    config: &CampaignConfig,
-    registry: &Registry,
-    checkpoint: &Checkpoint,
-    on_record: impl FnMut(AnonRecord),
-    on_checkpoint: impl FnMut(Checkpoint),
-) -> Result<CampaignReport, ConfigError> {
-    campaign_inner(config, registry, Some(checkpoint), on_record, on_checkpoint)
-}
-
-/// Runs a campaign whose tail formats records through the batched
-/// zero-allocation encoder straight into `writer` (see
-/// [`run_capture_pipeline_batched`]): the reorder stage hands
-/// fixed-size batches to the anonymiser's shard pool and assembler,
-/// which feed an overlapped formatter thread while a writer thread
-/// flushes finished buffers in order, so the dataset bytes are
-/// identical to feeding [`run_campaign_observed`]'s records through
-/// `DatasetWriter::write_record` one by one — only faster.
-///
-/// Checkpoints arrive with `writer_bytes` already stamped (the writer
-/// thread knows its own offset), ready to persist as-is. The writer is
-/// returned still open: call `finish()` to close the document.
+/// Runs a campaign through the writer tail:
+/// `Campaign::new(config).registry(registry).run_to_writer(tail, writer, on_checkpoint)`.
 pub fn try_run_campaign_to_writer<W: Write + Send>(
     config: &CampaignConfig,
     registry: &Registry,
@@ -192,98 +314,17 @@ pub fn try_run_campaign_to_writer<W: Write + Send>(
     writer: DatasetWriter<W>,
     on_checkpoint: impl FnMut(Checkpoint) + Send,
 ) -> Result<(CampaignReport, DatasetWriter<W>), CampaignError> {
-    campaign_to_writer_inner(config, registry, None, tail, writer, on_checkpoint)
+    Campaign::new(config)
+        .registry(registry)
+        .run_to_writer(tail, writer, on_checkpoint)
 }
 
-/// Resumes an interrupted campaign through the writer tail, appending
-/// to `writer` (restored with `DatasetWriter::resume` after truncating
-/// the file to `checkpoint.writer_bytes`). The combined file is
-/// byte-identical to an uninterrupted [`try_run_campaign_to_writer`]
-/// run — and to the serial writer's output.
-pub fn try_resume_campaign_to_writer<W: Write + Send>(
-    config: &CampaignConfig,
-    registry: &Registry,
-    checkpoint: &Checkpoint,
-    tail: TailConfig,
-    writer: DatasetWriter<W>,
-    on_checkpoint: impl FnMut(Checkpoint) + Send,
-) -> Result<(CampaignReport, DatasetWriter<W>), CampaignError> {
-    campaign_to_writer_inner(
-        config,
-        registry,
-        Some(checkpoint),
-        tail,
-        writer,
-        on_checkpoint,
-    )
-}
-
-fn campaign_to_writer_inner<W: Write + Send>(
-    config: &CampaignConfig,
-    registry: &Registry,
-    resume: Option<&Checkpoint>,
-    tail: TailConfig,
-    writer: DatasetWriter<W>,
-    mut on_checkpoint: impl FnMut(Checkpoint) + Send,
-) -> Result<(CampaignReport, DatasetWriter<W>), CampaignError> {
-    let seed = config.seed;
-    // Reject a bad shard count with a typed error here, before the
-    // pipeline's assert would turn it into a panic.
-    if !etw_anonymize::shard::shard_count_valid(tail.anon_shards) {
-        return Err(ConfigError::ShardCountInvalid {
-            got: tail.anon_shards,
-        }
-        .into());
-    }
-    campaign_inner_core(config, registry, resume, |frames, scheme, opts| {
-        run_capture_pipeline_batched(
-            frames,
-            config.decode_workers,
-            scheme,
-            registry,
-            opts,
-            tail,
-            writer,
-            |cut, writer_bytes| on_checkpoint(Checkpoint::from_pipeline(seed, cut, writer_bytes)),
-        )
-        .map_err(CampaignError::Io)
-    })
-}
-
-fn campaign_inner(
-    config: &CampaignConfig,
-    registry: &Registry,
-    resume: Option<&Checkpoint>,
-    mut on_record: impl FnMut(AnonRecord),
-    mut on_checkpoint: impl FnMut(Checkpoint),
-) -> Result<CampaignReport, ConfigError> {
-    let seed = config.seed;
-    let result = campaign_inner_core(config, registry, resume, |frames, scheme, opts| {
-        let (stats, scheme) = run_capture_pipeline_with(
-            frames,
-            config.decode_workers,
-            scheme,
-            registry,
-            opts,
-            &mut on_record,
-            |cut| on_checkpoint(Checkpoint::from_pipeline(seed, cut, 0)),
-        );
-        Ok((stats, scheme, ()))
-    });
-    match result {
-        Ok((report, ())) => Ok(report),
-        Err(CampaignError::Config(e)) => Err(e),
-        // etwlint: allow(no-panic-hot-path): the serial tail performs no
-        // io, so its closure above can only fail with Config.
-        Err(CampaignError::Io(_)) => unreachable!("serial tail does no io"),
-    }
-}
-
-/// The shared campaign body: validates, builds the world (catalog,
-/// population, generator, server, capture ring, fault link), restores or
-/// creates the anonymiser, delegates the capture run to `run_tail`
-/// (serial sink or writer tail), then assembles the report. `T`
-/// smuggles tail-specific state — the dataset writer — back out.
+/// The body every [`Campaign`] terminal shares: validates, builds the
+/// world (catalog, population, sharded source, capture ring, fault
+/// link), restores or creates the anonymiser, delegates the capture run
+/// to `run_tail` (serial tail or writer tail), then assembles the
+/// report. `T` smuggles tail-specific state — the dataset writer — back
+/// out.
 fn campaign_inner_core<T>(
     config: &CampaignConfig,
     registry: &Registry,
@@ -295,6 +336,8 @@ fn campaign_inner_core<T>(
     ) -> Result<(PipelineStats, PaperScheme, T), CampaignError>,
 ) -> Result<(CampaignReport, T), CampaignError> {
     config.validate()?;
+    // The seed is all a resume can check: `Checkpoint` stores no
+    // checkpoint interval.
     if let Some(cp) = resume {
         if cp.seed != config.seed {
             return Err(ConfigError::CheckpointMismatch {
@@ -593,7 +636,10 @@ mod tests {
         let registry = Registry::new();
         let mut config = CampaignConfig::tiny();
         config.health_interval_secs = 600;
-        let report = run_campaign_observed(&config, &registry, |_| {});
+        let report = Campaign::new(&config)
+            .registry(&registry)
+            .run(|_| {}, |_| {})
+            .expect("valid config");
 
         // tiny() runs 1800 virtual seconds → boundaries at 600, 1200,
         // 1800 (+ a final cut only if time advanced past the last one).
@@ -635,7 +681,9 @@ mod tests {
         let run = || {
             let registry = Registry::new();
             let mut records = Vec::new();
-            let report = try_run_campaign_observed(&config, &registry, |r| records.push(r))
+            let report = Campaign::new(&config)
+                .registry(&registry)
+                .run(|r| records.push(r), |_| {})
                 .expect("valid config");
             (report, records, registry.snapshot())
         };
@@ -703,13 +751,9 @@ mod tests {
         let config = CampaignConfig::tiny_faulty();
         let mut full = Vec::new();
         let mut cps: Vec<Checkpoint> = Vec::new();
-        let report = try_run_campaign_checkpointed(
-            &config,
-            &Registry::disabled(),
-            |r| full.push(r),
-            |cp| cps.push(cp),
-        )
-        .expect("valid config");
+        let report = Campaign::new(&config)
+            .run(|r| full.push(r), |cp| cps.push(cp))
+            .expect("valid config");
         // 1800 s campaign, 300 s interval → several cuts.
         assert!(cps.len() >= 4, "only {} checkpoints", cps.len());
         for w in cps.windows(2) {
@@ -724,14 +768,10 @@ mod tests {
         let cp = cps[cps.len() / 2].clone();
         let mut tail = Vec::new();
         let mut tail_cps: Vec<Checkpoint> = Vec::new();
-        let resumed = try_resume_campaign_observed(
-            &config,
-            &Registry::disabled(),
-            &cp,
-            |r| tail.push(r),
-            |c| tail_cps.push(c),
-        )
-        .expect("resume accepted");
+        let resumed = Campaign::new(&config)
+            .resume_from(&cp)
+            .run(|r| tail.push(r), |c| tail_cps.push(c))
+            .expect("resume accepted");
         assert_eq!(resumed.records + cp.records, full.len() as u64);
         assert_eq!(&full[cp.records as usize..], &tail[..]);
         let expected_tail_cps: Vec<&Checkpoint> =
@@ -753,29 +793,44 @@ mod tests {
     fn mismatched_checkpoint_rejected() {
         let config = CampaignConfig::tiny_faulty();
         let mut cps: Vec<Checkpoint> = Vec::new();
-        try_run_campaign_checkpointed(
-            &config,
-            &Registry::disabled(),
-            |_| {},
-            |cp| {
-                if cps.is_empty() {
-                    cps.push(cp)
-                }
-            },
-        )
-        .unwrap();
+        Campaign::new(&config)
+            .run(
+                |_| {},
+                |cp| {
+                    if cps.is_empty() {
+                        cps.push(cp)
+                    }
+                },
+            )
+            .unwrap();
         let mut wrong_seed = cps.remove(0);
         wrong_seed.seed ^= 1;
-        let err = try_resume_campaign_observed(
-            &config,
-            &Registry::disabled(),
-            &wrong_seed,
-            |_| {},
-            |_| {},
-        )
-        .unwrap_err();
-        assert!(matches!(err, ConfigError::CheckpointMismatch { .. }));
-        assert!(err.to_string().contains("seed"));
+        let resumed = || Campaign::new(&config).resume_from(&wrong_seed);
+        let writer = || DatasetWriter::new(Vec::new()).expect("vec write");
+        let terminals = [
+            ("run", resumed().run(|_| {}, |_| {}).err()),
+            (
+                "run_reference",
+                resumed().run_reference(writer(), |_| {}).err(),
+            ),
+            (
+                "run_to_writer",
+                resumed()
+                    .run_to_writer(TailConfig::default(), writer(), |_| {})
+                    .err(),
+            ),
+        ];
+        for (terminal, err) in terminals {
+            let err = err.unwrap_or_else(|| panic!("{terminal} accepted a foreign checkpoint"));
+            assert!(
+                matches!(
+                    err,
+                    CampaignError::Config(ConfigError::CheckpointMismatch { .. })
+                ),
+                "{terminal}: {err}"
+            );
+            assert!(err.to_string().contains("seed"), "{terminal}: {err}");
+        }
     }
 
     #[test]
@@ -802,25 +857,17 @@ mod tests {
         }
     }
 
-    /// Serial reference for the batched writer path: stream the
-    /// campaign's records through `DatasetWriter::write_record` one at a
-    /// time, stamping `writer_bytes` into each checkpoint the way `repro
-    /// soak` does.
+    /// The serial reference for the writer tail: the campaign's records
+    /// through `DatasetWriter::write_record` one at a time, `writer_bytes`
+    /// stamped into each checkpoint.
     fn serial_writer_run(config: &CampaignConfig) -> (CampaignReport, Vec<u8>, Vec<Checkpoint>) {
-        use std::cell::RefCell;
-        let writer = RefCell::new(DatasetWriter::new(Vec::new()).expect("vec write"));
         let mut cps = Vec::new();
-        let report = try_run_campaign_checkpointed(
-            config,
-            &Registry::disabled(),
-            |r| writer.borrow_mut().write_record(&r).expect("vec write"),
-            |mut cp| {
-                cp.writer_bytes = writer.borrow().bytes_written();
-                cps.push(cp);
-            },
-        )
-        .expect("valid config");
-        let bytes = writer.into_inner().finish().expect("vec write");
+        let (report, writer) = Campaign::new(config)
+            .run_reference(DatasetWriter::new(Vec::new()).expect("vec write"), |cp| {
+                cps.push(cp)
+            })
+            .expect("valid config");
+        let bytes = writer.finish().expect("vec write");
         (report, bytes, cps)
     }
 
@@ -872,15 +919,14 @@ mod tests {
         // vouches for, then resume through the batched tail.
         let prefix = full_bytes[..cp.writer_bytes as usize].to_vec();
         let mut tail_cps = Vec::new();
-        let (resumed, writer) = try_resume_campaign_to_writer(
-            &config,
-            &Registry::disabled(),
-            &cp,
-            TailConfig::default(),
-            DatasetWriter::resume(prefix, cp.records, cp.writer_bytes),
-            |c| tail_cps.push(c),
-        )
-        .expect("resume accepted");
+        let (resumed, writer) = Campaign::new(&config)
+            .resume_from(&cp)
+            .run_to_writer(
+                TailConfig::default(),
+                DatasetWriter::resume(prefix, cp.records, cp.writer_bytes),
+                |c| tail_cps.push(c),
+            )
+            .expect("resume accepted");
         let rebuilt = writer.finish().expect("vec write");
         assert_eq!(full_bytes, rebuilt, "resumed dataset diverges");
         let expected: Vec<&Checkpoint> = cps.iter().filter(|c| c.records > cp.records).collect();
@@ -907,7 +953,10 @@ mod tests {
             .map(|name| snap.gauge(&format!("anon.fileid.{name}")))
         };
         let serial = Registry::new();
-        try_run_campaign_observed(&config, &serial, |_| {}).expect("valid config");
+        Campaign::new(&config)
+            .registry(&serial)
+            .run(|_| {}, |_| {})
+            .expect("valid config");
         let expected = ledger(&serial);
         assert!(expected[0] > 0, "the campaign probes fileIDs");
         for anon_shards in [1, 4] {
@@ -929,9 +978,10 @@ mod tests {
 
     #[test]
     fn writer_campaign_surfaces_io_errors() {
-        /// Accepts the XML prologue, then fails: exercises the batched
-        /// tail's mid-campaign error path (writer thread drains, the
-        /// campaign returns the error instead of deadlocking).
+        /// Accepts the XML prologue, then fails: exercises both writer
+        /// terminals' mid-campaign error path (the writer tail's writer
+        /// thread drains, the campaign returns the error instead of
+        /// deadlocking; the reference stops writing and returns it).
         struct FailAfter {
             left: usize,
         }
@@ -949,17 +999,25 @@ mod tests {
         }
 
         let config = CampaignConfig::tiny();
-        let result = try_run_campaign_to_writer(
-            &config,
-            &Registry::disabled(),
-            TailConfig::default(),
-            DatasetWriter::new(FailAfter { left: 4096 }).expect("header fits"),
-            |_| {},
-        );
-        match result {
-            Err(CampaignError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
-            Err(other) => panic!("expected io error, got {other}"),
-            Ok(_) => panic!("writer must fail"),
+        let writer = || DatasetWriter::new(FailAfter { left: 4096 }).expect("header fits");
+        let terminals = [
+            (
+                "run_reference",
+                Campaign::new(&config).run_reference(writer(), |_| {}).err(),
+            ),
+            (
+                "run_to_writer",
+                Campaign::new(&config)
+                    .run_to_writer(TailConfig::default(), writer(), |_| {})
+                    .err(),
+            ),
+        ];
+        for (terminal, err) in terminals {
+            match err {
+                Some(CampaignError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
+                Some(other) => panic!("{terminal}: expected io error, got {other}"),
+                None => panic!("{terminal}: writer must fail"),
+            }
         }
     }
 
@@ -967,7 +1025,10 @@ mod tests {
     fn unobserved_campaign_matches_observed() {
         // The disabled registry must not perturb the simulation.
         let plain = run_campaign(&CampaignConfig::tiny(), |_| {});
-        let observed = run_campaign_observed(&CampaignConfig::tiny(), &Registry::new(), |_| {});
+        let observed = Campaign::new(&CampaignConfig::tiny())
+            .registry(&Registry::new())
+            .run(|_| {}, |_| {})
+            .expect("valid config");
         assert_eq!(plain.records, observed.records);
         assert_eq!(plain.capture.offered, observed.capture.offered);
         assert_eq!(plain.capture.lost, observed.capture.lost);

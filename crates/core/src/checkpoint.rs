@@ -575,44 +575,32 @@ mod tests {
     /// loses nothing a resume needs.
     #[test]
     fn tracked_v3_sidecar_resumes_byte_identical() {
-        use crate::campaign::{try_resume_campaign_observed, try_run_campaign_checkpointed};
+        use crate::campaign::Campaign;
         use crate::config::CampaignConfig;
-        use etw_telemetry::Registry;
         use etw_xmlout::writer::DatasetWriter;
-        use std::cell::RefCell;
 
         let mut config = CampaignConfig::tiny_faulty();
         config.generator.duration_secs = 600;
         config.checkpoint_interval_secs = 120;
-        let writer = RefCell::new(DatasetWriter::new(Vec::new()).unwrap());
         let mut cps = Vec::new();
-        try_run_campaign_checkpointed(
-            &config,
-            &Registry::disabled(),
-            |r| writer.borrow_mut().write_record(&r).unwrap(),
-            |mut cp| {
-                cp.writer_bytes = writer.borrow().bytes_written();
-                cps.push(cp);
-            },
-        )
-        .unwrap();
-        let full = writer.into_inner().finish().unwrap();
+        let (_, writer) = Campaign::new(&config)
+            .run_reference(DatasetWriter::new(Vec::new()).unwrap(), |cp| cps.push(cp))
+            .unwrap();
+        let full = writer.finish().unwrap();
         let cp = &cps[cps.len() / 2];
         assert!(!cp.file_order.is_empty());
 
         let decoded = Checkpoint::decode(&encode_v3_tracked(cp)).unwrap();
         assert_eq!(&decoded, cp);
         let prefix = full[..cp.writer_bytes as usize].to_vec();
-        let writer = RefCell::new(DatasetWriter::resume(prefix, cp.records, cp.writer_bytes));
-        try_resume_campaign_observed(
-            &config,
-            &Registry::disabled(),
-            &decoded,
-            |r| writer.borrow_mut().write_record(&r).unwrap(),
-            |_| {},
-        )
-        .unwrap();
-        let rebuilt = writer.into_inner().finish().unwrap();
+        let (_, writer) = Campaign::new(&config)
+            .resume_from(&decoded)
+            .run_reference(
+                DatasetWriter::resume(prefix, cp.records, cp.writer_bytes),
+                |_| {},
+            )
+            .unwrap();
+        let rebuilt = writer.finish().unwrap();
         assert!(rebuilt == full, "resume from a tracked v3 sidecar diverges");
     }
 

@@ -156,8 +156,9 @@ pub struct CampaignConfig {
     /// Traffic-source sharding (generator workers + index shards).
     pub source: SourceConfig,
     /// Virtual seconds between machine-health snapshots (0 disables
-    /// them). Only consulted by `run_campaign_observed`; a snapshot is
-    /// cut each time virtual time crosses an interval boundary.
+    /// them). Consulted by every campaign terminal that runs with an
+    /// enabled registry; a snapshot is cut each time virtual time
+    /// crosses an interval boundary.
     pub health_interval_secs: u64,
     /// Fault injection: lossy link, outage/overload windows, worker
     /// crash plan. The default is a perfect world.

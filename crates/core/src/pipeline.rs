@@ -454,21 +454,6 @@ const FRAME_BATCH: usize = 256;
 /// as the old per-frame caps (1024 and 4096).
 const FRAME_QUEUE: usize = 8;
 
-/// Runs the full pipeline over `frames`, invoking `on_record` for every
-/// anonymised record in deterministic capture order. Returns the final
-/// statistics and the anonymisation scheme with its accumulated state.
-pub fn run_capture_pipeline<I>(
-    frames: I,
-    n_workers: usize,
-    scheme: PaperScheme,
-    on_record: impl FnMut(AnonRecord),
-) -> (PipelineStats, PaperScheme)
-where
-    I: Iterator<Item = TimedFrame> + Send,
-{
-    run_capture_pipeline_observed(frames, n_workers, scheme, &Registry::disabled(), on_record)
-}
-
 /// Per-thread handles for the decode stage.
 #[derive(Clone)]
 struct DecodeTelemetry {
@@ -499,9 +484,18 @@ impl SinkTelemetry {
     }
 }
 
-/// [`run_capture_pipeline`] with live telemetry: every stage reports
-/// throughput, service time, and queueing into `registry` while the
-/// pipeline runs, under these names:
+/// Runs the full pipeline over `frames` (the serial tail), invoking
+/// `on_record` for every anonymised record in deterministic capture
+/// order. Returns the final statistics and the anonymisation scheme with
+/// its accumulated state.
+///
+/// Every stage reports throughput, service time and queueing into
+/// `registry` while the pipeline runs, under the names below. The
+/// writer tail, [`run_capture_pipeline_batched`], reports the same
+/// producer, decode, reorder and sink names; in place of
+/// `stage.anonymize.service_ns` it reports `stage.shard.*`,
+/// `stage.assemble.*`, `stage.format.*`, `stage.write.*` and
+/// `anon.shard.*`, plus the `chan.*` series of its own queues.
 ///
 /// * `stage.producer.frames_total` — frames routed to workers;
 /// * `chan.decode_in.*` / `chan.decode_out.*` — queue depth, messages,
@@ -515,30 +509,8 @@ impl SinkTelemetry {
 /// * `stage.sink.records_total`, `stage.sink.queries_total`,
 ///   `stage.sink.to_server_total`, `stage.sink.from_server_total`.
 ///
-/// With a disabled registry every instrument degenerates to a no-op and
-/// this is the same pipeline as [`run_capture_pipeline`].
-pub fn run_capture_pipeline_observed<I>(
-    frames: I,
-    n_workers: usize,
-    scheme: PaperScheme,
-    registry: &Registry,
-    on_record: impl FnMut(AnonRecord),
-) -> (PipelineStats, PaperScheme)
-where
-    I: Iterator<Item = TimedFrame> + Send,
-{
-    run_capture_pipeline_with(
-        frames,
-        n_workers,
-        scheme,
-        registry,
-        &PipelineOptions::default(),
-        on_record,
-        |_| {},
-    )
-}
-
-/// [`run_capture_pipeline_observed`] plus the fault-tolerance surface:
+/// With a disabled registry every instrument degenerates to a no-op.
+/// `opts` adds the fault-tolerance surface:
 ///
 /// * **Supervised workers** — with [`PipelineOptions::faults`], each
 ///   decode worker wraps its per-frame work in `catch_unwind`. A crashed
@@ -1819,10 +1791,15 @@ mod tests {
 
     fn run(frames: Vec<TimedFrame>, workers: usize) -> (PipelineStats, Vec<AnonRecord>) {
         let mut records = Vec::new();
-        let (stats, _) =
-            run_capture_pipeline(frames.into_iter(), workers, PaperScheme::paper(16), |r| {
-                records.push(r)
-            });
+        let (stats, _) = run_capture_pipeline_with(
+            frames.into_iter(),
+            workers,
+            PaperScheme::paper(16),
+            &Registry::disabled(),
+            &PipelineOptions::default(),
+            |r| records.push(r),
+            |_| {},
+        );
         (stats, records)
     }
 
@@ -1950,12 +1927,14 @@ mod tests {
         let frames = frames_for(&msgs);
         let registry = Registry::new();
         let mut records = Vec::new();
-        let (stats, _) = run_capture_pipeline_observed(
+        let (stats, _) = run_capture_pipeline_with(
             frames.into_iter(),
             2,
             PaperScheme::paper(16),
             &registry,
+            &PipelineOptions::default(),
             |r| records.push(r),
+            |_| {},
         );
         let snap = registry.snapshot();
         // Every frame is seen once per stage; the decode channels tick

@@ -3,11 +3,12 @@
 //! order must be independent of parallelism.
 
 use etw_anonymize::scheme::PaperScheme;
-use etw_core::pipeline::{run_capture_pipeline, TimedFrame};
+use etw_core::pipeline::{run_capture_pipeline_with, PipelineOptions, TimedFrame};
 use etw_core::wirepath::{encapsulate, Direction};
 use etw_edonkey::ids::ClientId;
 use etw_edonkey::messages::Message;
 use etw_netsim::clock::VirtualTime;
+use etw_telemetry::Registry;
 use proptest::prelude::*;
 
 fn arb_frame() -> impl Strategy<Value = TimedFrame> {
@@ -59,11 +60,14 @@ proptest! {
         frames.sort_by_key(|f| f.ts);
         let n = frames.len() as u64;
         let mut records = 0u64;
-        let (stats, _) = run_capture_pipeline(
+        let (stats, _) = run_capture_pipeline_with(
             frames.into_iter(),
             workers,
             PaperScheme::paper(16),
+            &Registry::disabled(),
+            &PipelineOptions::default(),
             |_| records += 1,
+            |_| {},
         );
         prop_assert_eq!(stats.frames, n);
         // Wire-layer classification partitions the frames.
@@ -92,11 +96,14 @@ proptest! {
         frames.sort_by_key(|f| f.ts);
         let run = |workers: usize| {
             let mut out = Vec::new();
-            run_capture_pipeline(
+            run_capture_pipeline_with(
                 frames.clone().into_iter(),
                 workers,
                 PaperScheme::paper(16),
+                &Registry::disabled(),
+                &PipelineOptions::default(),
                 |r| out.push(r),
+                |_| {},
             );
             out
         };

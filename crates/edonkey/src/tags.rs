@@ -93,7 +93,7 @@ impl TagName {
     }
 
     /// The name's fixed rendering, when it has one: every well-known
-    /// special byte maps to a static string identical to its [`Display`]
+    /// special byte maps to a static string identical to its [`std::fmt::Display`]
     /// output. `None` for unknown special bytes and arbitrary named tags
     /// (those need the formatting machinery); hot paths rendering tag
     /// names at volume use this to skip `fmt` entirely.

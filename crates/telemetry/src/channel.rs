@@ -3,7 +3,7 @@
 //!
 //! A [`metered_bounded`] channel behaves exactly like
 //! `crossbeam::channel::bounded`, but maintains four metrics in the
-//! owning [`Registry`](crate::Registry), named after the channel:
+//! owning [`crate::Registry`], named after the channel:
 //!
 //! * `chan.<name>.depth` (gauge) — messages currently queued;
 //! * `chan.<name>.depth_hwm` (gauge) — high-water mark of the above;

@@ -18,7 +18,7 @@
 //!   steady state. The supervisor merges every ring with
 //!   [`ring::FlightRecorder::dump`] at a crash, restart, shed or
 //!   checkpoint cut, without stopping the writers.
-//! * [`file`] + [`ops`] — the operator surfaces: the compact
+//! * [`mod@file`] + [`ops`] — the operator surfaces: the compact
 //!   `.etwtrace` binary dump (`etwtool trace-dump` pretty-prints it)
 //!   and a dependency-free blocking HTTP listener serving
 //!   `/health.json` and `/metrics`.

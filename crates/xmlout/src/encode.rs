@@ -38,8 +38,8 @@ static DIGITS2: [u8; 200] = {
 };
 
 /// Appends the decimal representation of `v` (itoa-style: digit pairs
-/// are produced backwards into a stack buffer via [`DIGITS2`], then
-/// copied in one splice).
+/// are produced backwards into a stack buffer from the `DIGITS2` table,
+/// then copied in one splice).
 #[inline]
 pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut buf = [0u8; 20]; // u64::MAX has 20 digits

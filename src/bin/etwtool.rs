@@ -20,7 +20,7 @@
 
 use edonkey_ten_weeks::analysis::report::{grouped, KvTable};
 use edonkey_ten_weeks::analysis::DatasetStats;
-use edonkey_ten_weeks::core::campaign::try_run_campaign_to_writer;
+use edonkey_ten_weeks::core::campaign::Campaign;
 use edonkey_ten_weeks::core::pipeline::TailConfig;
 use edonkey_ten_weeks::core::CampaignConfig;
 use edonkey_ten_weeks::telemetry::{Registry, Snapshot};
@@ -336,17 +336,17 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     let registry = Registry::new();
     let worker_registry = registry.clone();
     let worker = std::thread::spawn(move || {
-        try_run_campaign_to_writer(
-            &config,
-            &worker_registry,
-            tail,
-            DatasetWriter::new(std::io::sink()).expect("sink write"),
-            |_| {},
-        )
-        .map(|(report, writer)| {
-            let _ = writer.finish();
-            report
-        })
+        Campaign::new(&config)
+            .registry(&worker_registry)
+            .run_to_writer(
+                tail,
+                DatasetWriter::new(std::io::sink()).expect("sink write"),
+                |_| {},
+            )
+            .map(|(report, writer)| {
+                let _ = writer.finish();
+                report
+            })
     });
 
     println!(
@@ -781,17 +781,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     let worker_registry = registry.clone();
     let worker = std::thread::spawn(move || {
-        try_run_campaign_to_writer(
-            &config,
-            &worker_registry,
-            tail,
-            DatasetWriter::new(std::io::sink()).expect("sink write"),
-            |_| {},
-        )
-        .map(|(report, writer)| {
-            let _ = writer.finish();
-            report
-        })
+        Campaign::new(&config)
+            .registry(&worker_registry)
+            .run_to_writer(
+                tail,
+                DatasetWriter::new(std::io::sink()).expect("sink write"),
+                |_| {},
+            )
+            .map(|(report, writer)| {
+                let _ = writer.finish();
+                report
+            })
     });
     while !worker.is_finished() {
         std::thread::sleep(Duration::from_millis(100));
@@ -857,14 +857,14 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
         anon_shards: shards,
         ..TailConfig::default()
     };
-    let (report, writer) = try_run_campaign_to_writer(
-        &config,
-        &registry,
-        tail,
-        DatasetWriter::new(std::io::sink()).map_err(|e| e.to_string())?,
-        |_| {},
-    )
-    .map_err(|e| format!("campaign failed: {e}"))?;
+    let (report, writer) = Campaign::new(&config)
+        .registry(&registry)
+        .run_to_writer(
+            tail,
+            DatasetWriter::new(std::io::sink()).map_err(|e| e.to_string())?,
+            |_| {},
+        )
+        .map_err(|e| format!("campaign failed: {e}"))?;
     let _ = writer.finish();
 
     let snap = registry.snapshot();

@@ -29,6 +29,10 @@
 //!   bench — decode-only, batched tail, sharded anonymise, swarm
 //!   serving — plus the decode-ratio floor and the swarm tap's
 //!   permille loss budget)
+//! * `ablations [--smoke]` — the design comparisons the paper argues
+//!   for (ablations A1–A6), the per-figure extraction costs and the
+//!   codec and distinct-counting extensions, each row timed best-of-N
+//!   (`--smoke`: one repeat) and printed with its row name; no gate
 //! * `matrix` — the CI campaign matrix: clientID widths {2^24, 2^16} ×
 //!   anonymiser shards {1, 4} × source shards {1, 4}; within each width
 //!   every shard combination must produce the byte-identical dataset
@@ -51,10 +55,9 @@ use edonkey_ten_weeks::analysis::{
     find_peaks, fit_histogram, DatasetStats, IntHistogram, SparseSeries,
 };
 use edonkey_ten_weeks::bench::harness::BenchReport;
-use edonkey_ten_weeks::bench::suite;
+use edonkey_ten_weeks::bench::{ablations, suite};
 use edonkey_ten_weeks::core::{
-    render_health_dat, render_t1, try_resume_campaign_observed, try_run_campaign_checkpointed,
-    try_run_campaign_observed, CampaignConfig, CampaignReport, Checkpoint,
+    render_health_dat, render_t1, Campaign, CampaignConfig, CampaignReport, Checkpoint,
 };
 use edonkey_ten_weeks::netsim::capture::{CaptureBuffer, LossRecorder};
 use edonkey_ten_weeks::netsim::clock::VirtualTime;
@@ -83,7 +86,8 @@ struct Args {
     faults: bool,
     /// `soak`: seed for the kill-point choice (None = OS entropy).
     soak_seed: Option<u64>,
-    /// `bench`: CI mode — short runs, gate against the baseline.
+    /// `bench`: CI mode — short runs, gate against the baseline;
+    /// `ablations`: one repeat per row.
     smoke: bool,
     /// `bench`: write the committable `BENCH_PR10.json` baseline.
     record: bool,
@@ -102,9 +106,22 @@ struct Args {
 const RECORD_PATH: &str = "BENCH_PR10.json";
 
 /// Every experiment name `repro` accepts.
-const EXPERIMENTS: [&str; 14] = [
-    "t1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "health", "soak", "bench",
-    "matrix", "swarm", "all",
+const EXPERIMENTS: [&str; 15] = [
+    "t1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "health",
+    "soak",
+    "bench",
+    "ablations",
+    "matrix",
+    "swarm",
+    "all",
 ];
 
 fn parse_args() -> Args {
@@ -174,7 +191,7 @@ fn parse_args() -> Args {
                     "usage: repro [--tiny] [--weeks N] [--out DIR] \
                      <t1|fig2|fig3|fig4..fig8|health|soak [--faults]|\
                      bench [--smoke|--record] [--baseline FILE] [--bench-out FILE]|\
-                     matrix|swarm [--faults] [--sessions N] [--duration-ms MS]|all>"
+                     ablations [--smoke]|matrix|swarm [--faults] [--sessions N] [--duration-ms MS]|all>"
                 );
                 std::process::exit(0);
             }
@@ -211,6 +228,10 @@ fn main() {
     }
     if args.what == "bench" {
         bench(&args);
+        return;
+    }
+    if args.what == "ablations" {
+        ablations::run_ablations(&suite::SuiteOptions { smoke: args.smoke });
         return;
     }
     if args.what == "matrix" {
@@ -283,7 +304,9 @@ fn run_campaign_once(tiny: bool, weeks: u64) -> CampaignRun {
     let started = Instant::now();
     let mut stats = DatasetStats::new();
     let registry = Registry::new();
-    let report = try_run_campaign_observed(&config, &registry, |record| stats.observe(&record))
+    let report = Campaign::new(&config)
+        .registry(&registry)
+        .run(|record| stats.observe(&record), |_| {})
         .unwrap_or_else(|e| {
             eprintln!("invalid campaign configuration: {e}");
             std::process::exit(2);
@@ -722,20 +745,19 @@ fn bench(args: &Args) {
 
 /// The CI campaign matrix (`repro matrix`), run by ci.sh: a faulty
 /// campaign smoke at clientID widths {2^24, 2^16}. Each width's
-/// reference is the serial tail: records written one at a time with
-/// `DatasetWriter::write_record`, `writer_bytes` stamped into each cut
-/// as `repro soak` does. Every writer-tail cell — anonymiser shard
-/// count {1, 4} × source shard count {1, 4} — must produce the
-/// byte-identical dataset and the identical checkpoint cuts. That is
-/// the writer tail's and the sharded traffic source's portability
-/// guarantee, checked against an independent implementation at both
-/// the narrow test width and the wide default where clientIDs stripe
-/// across every shard's sub-table. Exits nonzero on any divergence.
+/// reference is `Campaign::run_reference`: the serial tail's records
+/// written one at a time with `DatasetWriter::write_record`,
+/// `writer_bytes` stamped into each cut. Every writer-tail cell —
+/// anonymiser shard count {1, 4} × source shard count {1, 4} — must
+/// produce the byte-identical dataset and the identical checkpoint
+/// cuts. That is the writer tail's and the sharded traffic source's
+/// portability guarantee, checked against an independent
+/// implementation at both the narrow test width and the wide default
+/// where clientIDs stripe across every shard's sub-table. Exits nonzero
+/// on any divergence.
 fn matrix() {
-    use edonkey_ten_weeks::core::campaign::try_run_campaign_to_writer;
     use edonkey_ten_weeks::core::pipeline::TailConfig;
     use edonkey_ten_weeks::xmlout::writer::DatasetWriter;
-    use std::cell::RefCell;
 
     const WIDTHS: [u32; 2] = [24, 16];
     const SHARDS: [usize; 2] = [1, 4];
@@ -765,20 +787,13 @@ fn matrix() {
         // etwlint: allow(no-wall-clock): operator-facing elapsed-time
         // print in the binary, not simulation state.
         let started = Instant::now();
-        let writer = RefCell::new(DatasetWriter::new(Vec::new()).expect("vec write"));
-        let ref_cps: RefCell<Vec<Checkpoint>> = RefCell::new(Vec::new());
-        let reference = try_run_campaign_checkpointed(
-            &config(1),
-            &Registry::disabled(),
-            |r| writer.borrow_mut().write_record(&r).expect("vec write"),
-            |mut cp| {
-                cp.writer_bytes = writer.borrow().bytes_written();
-                ref_cps.borrow_mut().push(cp);
-            },
-        )
-        .unwrap_or_else(|e| invalid(&e));
-        let ref_bytes = writer.into_inner().finish().expect("vec write");
-        let ref_cps = ref_cps.into_inner();
+        let mut ref_cps: Vec<Checkpoint> = Vec::new();
+        let (reference, writer) = Campaign::new(&config(1))
+            .run_reference(DatasetWriter::new(Vec::new()).expect("vec write"), |cp| {
+                ref_cps.push(cp)
+            })
+            .unwrap_or_else(|e| invalid(&e));
+        let ref_bytes = writer.finish().expect("vec write");
         println!(
             "  2^{width:<6} {:>6} {:>6} {:>9} {:>11} {:>7.2}  reference",
             "serial",
@@ -805,14 +820,13 @@ fn matrix() {
                 // elapsed-time print in the binary, not simulation state.
                 let started = Instant::now();
                 let mut cps: Vec<Checkpoint> = Vec::new();
-                let (report, writer) = try_run_campaign_to_writer(
-                    &config(src_shards),
-                    &Registry::disabled(),
-                    tail,
-                    DatasetWriter::new(Vec::new()).expect("vec write"),
-                    |cp| cps.push(cp),
-                )
-                .unwrap_or_else(|e| invalid(&e));
+                let (report, writer) = Campaign::new(&config(src_shards))
+                    .run_to_writer(
+                        tail,
+                        DatasetWriter::new(Vec::new()).expect("vec write"),
+                        |cp| cps.push(cp),
+                    )
+                    .unwrap_or_else(|e| invalid(&e));
                 let bytes = writer.finish().expect("vec write");
                 let verdict = if bytes == ref_bytes && cps == ref_cps {
                     "identical"
@@ -1154,8 +1168,9 @@ fn swarm(args: &Args) {
 ///
 /// 1. an active probe over a lossy transport, so `probe.timeouts_total`
 ///    and `probe.retries_total` come from real expired deadlines;
-/// 2. a fault-injected campaign streamed into a [`DatasetWriter`] with
-///    checkpoints cut every `checkpoint_interval_secs`;
+/// 2. a fault-injected campaign written through the reference writer
+///    (`Campaign::run_reference`) with checkpoints cut every
+///    `checkpoint_interval_secs`;
 /// 3. a simulated kill at a random virtual time — the dataset file is
 ///    torn at an arbitrary byte past the last checkpoint — followed by
 ///    recovery (truncate to the checkpoint's writer offset) and resume;
@@ -1172,7 +1187,6 @@ fn soak(out: &Path, faults: bool, soak_seed: Option<u64>) {
     use edonkey_ten_weeks::server::engine::ServerEngine;
     use edonkey_ten_weeks::xmlout::writer::DatasetWriter;
     use rand::Rng;
-    use std::cell::RefCell;
 
     // OS entropy via std's randomized hasher: no wall clock involved,
     // and `--soak-seed` reproduces any failing run exactly.
@@ -1251,23 +1265,17 @@ fn soak(out: &Path, faults: bool, soak_seed: Option<u64>) {
         c.checkpoint_interval_secs = 300;
         c
     };
-    let writer = RefCell::new(DatasetWriter::new(Vec::new()).expect("vec write"));
-    let cps: RefCell<Vec<Checkpoint>> = RefCell::new(Vec::new());
-    let report = try_run_campaign_checkpointed(
-        &config,
-        &registry,
-        |r| writer.borrow_mut().write_record(&r).expect("vec write"),
-        |mut cp| {
-            cp.writer_bytes = writer.borrow().bytes_written();
-            cps.borrow_mut().push(cp);
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("invalid campaign configuration: {e}");
-        std::process::exit(2);
-    });
-    let full = writer.into_inner().finish().expect("vec write");
-    let cps = cps.into_inner();
+    let mut cps: Vec<Checkpoint> = Vec::new();
+    let (report, writer) = Campaign::new(&config)
+        .registry(&registry)
+        .run_reference(DatasetWriter::new(Vec::new()).expect("vec write"), |cp| {
+            cps.push(cp)
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("invalid campaign configuration: {e}");
+            std::process::exit(2);
+        });
+    let full = writer.finish().expect("vec write");
     println!(
         "  campaign: {} records, {} bytes, {} checkpoints",
         grouped(report.records),
@@ -1305,20 +1313,19 @@ fn soak(out: &Path, faults: bool, soak_seed: Option<u64>) {
 
     let mut torn = full[..tear_at].to_vec();
     torn.truncate(cp.writer_bytes as usize);
-    let writer = RefCell::new(DatasetWriter::resume(torn, cp.records, cp.writer_bytes));
     let resume_registry = Registry::new();
-    let resumed = try_resume_campaign_observed(
-        &config,
-        &resume_registry,
-        &cp,
-        |r| writer.borrow_mut().write_record(&r).expect("vec write"),
-        |_| {},
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("resume rejected: {e}");
-        std::process::exit(2);
-    });
-    let rebuilt = writer.into_inner().finish().expect("vec write");
+    let (resumed, writer) = Campaign::new(&config)
+        .registry(&resume_registry)
+        .resume_from(&cp)
+        .run_reference(
+            DatasetWriter::resume(torn, cp.records, cp.writer_bytes),
+            |_| {},
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("resume rejected: {e}");
+            std::process::exit(2);
+        });
+    let rebuilt = writer.finish().expect("vec write");
 
     // Phase 4 — the verdicts.
     gate.check(

@@ -9,18 +9,13 @@
 //! and the writer's truncated-tail recovery have to agree, for *every*
 //! seed, not just the soak preset's.
 
-use edonkey_ten_weeks::core::campaign::{
-    try_resume_campaign_observed, try_resume_campaign_to_writer, try_run_campaign_checkpointed,
-    try_run_campaign_to_writer,
-};
+use edonkey_ten_weeks::core::campaign::Campaign;
 use edonkey_ten_weeks::core::checkpoint::Checkpoint;
 use edonkey_ten_weeks::core::config::CampaignConfig;
 use edonkey_ten_weeks::core::pipeline::TailConfig;
 use edonkey_ten_weeks::faults::Window;
-use edonkey_ten_weeks::telemetry::Registry;
 use edonkey_ten_weeks::xmlout::writer::DatasetWriter;
 use proptest::prelude::*;
-use std::cell::RefCell;
 
 /// A faster variant of the soak preset: same fault classes all active,
 /// shorter campaign, windows moved inside the shortened run.
@@ -49,26 +44,20 @@ fn small_faulty(seed: u64) -> CampaignConfig {
     config
 }
 
-/// Runs the campaign to completion, streaming records through a
-/// [`DatasetWriter`] and stamping `writer_bytes` into each checkpoint
-/// as `repro soak` does. Returns the finished document bytes, the
-/// checkpoints, and the record count.
+/// Runs the campaign to completion through the reference writer
+/// (`Campaign::run_reference`: the serial tail into a [`DatasetWriter`],
+/// `writer_bytes` stamped into each checkpoint). Returns the finished
+/// document bytes, the checkpoints, and the record count.
 fn run_writing(config: &CampaignConfig) -> (Vec<u8>, Vec<Checkpoint>, u64) {
-    let writer = RefCell::new(DatasetWriter::new(Vec::new()).expect("vec write"));
-    let cps = RefCell::new(Vec::new());
-    let report = try_run_campaign_checkpointed(
-        config,
-        &Registry::disabled(),
-        |r| writer.borrow_mut().write_record(&r).expect("vec write"),
-        |mut cp| {
-            cp.writer_bytes = writer.borrow().bytes_written();
-            cps.borrow_mut().push(cp);
-        },
-    )
-    .expect("valid config");
+    let mut cps = Vec::new();
+    let (report, writer) = Campaign::new(config)
+        .run_reference(DatasetWriter::new(Vec::new()).expect("vec write"), |cp| {
+            cps.push(cp)
+        })
+        .expect("valid config");
     assert_eq!(report.pipeline.reorder_holes, 0, "sequence holes");
-    let bytes = writer.into_inner().finish().expect("vec write");
-    (bytes, cps.into_inner(), report.records)
+    let bytes = writer.finish().expect("vec write");
+    (bytes, cps, report.records)
 }
 
 proptest! {
@@ -99,20 +88,15 @@ proptest! {
         // Recovery: truncate to the checkpoint's writer offset and
         // resume both the writer and the campaign from the checkpoint.
         torn.truncate(cp.writer_bytes as usize);
-        let writer = RefCell::new(DatasetWriter::resume(torn, cp.records, cp.writer_bytes));
-        let tail_cps = RefCell::new(Vec::new());
-        let resumed = try_resume_campaign_observed(
-            &config,
-            &Registry::disabled(),
-            cp,
-            |r| writer.borrow_mut().write_record(&r).expect("vec write"),
-            |mut c| {
-                c.writer_bytes = writer.borrow().bytes_written();
-                tail_cps.borrow_mut().push(c);
-            },
-        )
-        .expect("resume accepted");
-        let rebuilt = writer.into_inner().finish().expect("vec write");
+        let mut tail_cps = Vec::new();
+        let (resumed, writer) = Campaign::new(&config)
+            .resume_from(cp)
+            .run_reference(
+                DatasetWriter::resume(torn, cp.records, cp.writer_bytes),
+                |c| tail_cps.push(c),
+            )
+            .expect("resume accepted");
+        let rebuilt = writer.finish().expect("vec write");
 
         prop_assert_eq!(resumed.records + cp.records, records);
         prop_assert_eq!(resumed.pipeline.reorder_holes, 0);
@@ -123,7 +107,6 @@ proptest! {
         // the same way.
         let expected: Vec<&Checkpoint> =
             cps.iter().filter(|c| c.records > cp.records).collect();
-        let tail_cps = tail_cps.into_inner();
         prop_assert_eq!(expected.len(), tail_cps.len());
         for (a, b) in expected.iter().zip(&tail_cps) {
             prop_assert_eq!(*a, b);
@@ -162,14 +145,13 @@ proptest! {
 
         // Uninterrupted batched run: byte- and checkpoint-identical.
         let mut batched_cps = Vec::new();
-        let (report, writer) = try_run_campaign_to_writer(
-            &config,
-            &Registry::disabled(),
-            tail,
-            DatasetWriter::new(Vec::new()).expect("vec write"),
-            |cp| batched_cps.push(cp),
-        )
-        .expect("valid config");
+        let (report, writer) = Campaign::new(&config)
+            .run_to_writer(
+                tail,
+                DatasetWriter::new(Vec::new()).expect("vec write"),
+                |cp| batched_cps.push(cp),
+            )
+            .expect("valid config");
         let batched_full = writer.finish().expect("vec write");
         prop_assert_eq!(report.records, records);
         prop_assert_eq!(report.pipeline.reorder_holes, 0);
@@ -181,15 +163,14 @@ proptest! {
         let cp = &cps[(cp_frac * (cps.len() - 1) as f64) as usize];
         let torn = full[..cp.writer_bytes as usize].to_vec();
         let mut tail_cps = Vec::new();
-        let (resumed, writer) = try_resume_campaign_to_writer(
-            &config,
-            &Registry::disabled(),
-            cp,
-            tail,
-            DatasetWriter::resume(torn, cp.records, cp.writer_bytes),
-            |c| tail_cps.push(c),
-        )
-        .expect("resume accepted");
+        let (resumed, writer) = Campaign::new(&config)
+            .resume_from(cp)
+            .run_to_writer(
+                tail,
+                DatasetWriter::resume(torn, cp.records, cp.writer_bytes),
+                |c| tail_cps.push(c),
+            )
+            .expect("resume accepted");
         let rebuilt = writer.finish().expect("vec write");
 
         prop_assert_eq!(resumed.records + cp.records, records);
@@ -237,15 +218,14 @@ proptest! {
         prop_assert_eq!(cp, &decoded);
 
         let torn = full[..cp.writer_bytes as usize].to_vec();
-        let (resumed, writer) = try_resume_campaign_to_writer(
-            &config,
-            &Registry::disabled(),
-            &decoded,
-            TailConfig { batch_records: 7, batch_queue: 2, anon_shards: 4 },
-            DatasetWriter::resume(torn, decoded.records, decoded.writer_bytes),
-            |_| {},
-        )
-        .expect("resume accepted");
+        let (resumed, writer) = Campaign::new(&config)
+            .resume_from(&decoded)
+            .run_to_writer(
+                TailConfig { batch_records: 7, batch_queue: 2, anon_shards: 4 },
+                DatasetWriter::resume(torn, decoded.records, decoded.writer_bytes),
+                |_| {},
+            )
+            .expect("resume accepted");
         let rebuilt = writer.finish().expect("vec write");
         prop_assert_eq!(resumed.records + cp.records, records);
         prop_assert!(rebuilt == full, "v1-resumed sharded dataset diverges");

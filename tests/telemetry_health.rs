@@ -4,7 +4,7 @@
 //! artefacts (health table, Prometheus exposition) must agree with the
 //! registry.
 
-use edonkey_ten_weeks::core::{render_health_dat, run_campaign_observed, CampaignConfig};
+use edonkey_ten_weeks::core::{render_health_dat, Campaign, CampaignConfig};
 use edonkey_ten_weeks::telemetry::Registry;
 
 #[test]
@@ -12,7 +12,10 @@ fn telemetry_counters_obey_conservation_laws() {
     let registry = Registry::new();
     let mut config = CampaignConfig::tiny();
     config.health_interval_secs = 300;
-    let report = run_campaign_observed(&config, &registry, |_| {});
+    let report = Campaign::new(&config)
+        .registry(&registry)
+        .run(|_| {}, |_| {})
+        .expect("valid config");
     let snap = registry.snapshot();
 
     // Ring conservation: offered = captured + lost, counted by the
@@ -82,7 +85,10 @@ fn health_series_is_monotone_and_consistent() {
     let registry = Registry::new();
     let mut config = CampaignConfig::tiny();
     config.health_interval_secs = 300;
-    let report = run_campaign_observed(&config, &registry, |_| {});
+    let report = Campaign::new(&config)
+        .registry(&registry)
+        .run(|_| {}, |_| {})
+        .expect("valid config");
     let health = &report.health;
     assert!(
         health.records.len() >= 4,
@@ -128,7 +134,10 @@ fn rendered_artefacts_match_the_registry() {
     let registry = Registry::new();
     let mut config = CampaignConfig::tiny();
     config.health_interval_secs = 600;
-    let report = run_campaign_observed(&config, &registry, |_| {});
+    let report = Campaign::new(&config)
+        .registry(&registry)
+        .run(|_| {}, |_| {})
+        .expect("valid config");
 
     // The .dat table has one header plus one row per health record,
     // each row leading with the record's virtual seconds.
@@ -156,7 +165,10 @@ fn disabled_registry_leaves_no_trace() {
     // A campaign run against the disabled registry must behave exactly
     // like the unobserved entry point: no health, empty snapshot.
     let registry = Registry::disabled();
-    let report = run_campaign_observed(&CampaignConfig::tiny(), &registry, |_| {});
+    let report = Campaign::new(&CampaignConfig::tiny())
+        .registry(&registry)
+        .run(|_| {}, |_| {})
+        .expect("valid config");
     assert!(report.health.is_empty());
     let snap = registry.snapshot();
     assert_eq!(snap.counter("ring.offered_total"), 0);
