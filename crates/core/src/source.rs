@@ -358,7 +358,6 @@ fn run_merger(
     op_txs: Vec<MeteredSender<Vec<ShardOp>>>,
     man_tx: MeteredSender<Vec<Manifest>>,
     token: Arc<TokenTable>,
-    merged_ctr: Counter,
 ) {
     let shards = op_txs.len();
     let mut cursors: Vec<GenCursor> = gen_rxs.into_iter().map(GenCursor::new).collect();
@@ -378,7 +377,6 @@ fn run_merger(
                 }
             }
         }
-        merged_ctr.add(manifests.len() as u64);
         let batch = std::mem::replace(manifests, Vec::with_capacity(EVENT_BATCH));
         man_tx.send(batch).is_ok()
     };
@@ -603,13 +601,12 @@ impl SourceStream {
         }
 
         let (man_tx, man_rx) = metered_bounded(MAN_QUEUE, registry, "src.asm");
-        let merged_ctr = registry.counter("source.merge.events_total");
         {
             let token = Arc::clone(&token);
             threads.push(
                 std::thread::Builder::new()
                     .name("src-merge".to_owned())
-                    .spawn(move || run_merger(gen_rxs, op_txs, man_tx, token, merged_ctr))
+                    .spawn(move || run_merger(gen_rxs, op_txs, man_tx, token))
                     // etwlint: allow(no-panic-hot-path): startup-time.
                     .expect("spawn merger"),
             );

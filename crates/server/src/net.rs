@@ -503,7 +503,7 @@ impl ServerNet {
             self.led.shed_backoff.inc();
             self.led.shed.inc();
             self.recycle(bytes);
-            self.profile.note_service(&mut t, 1);
+            self.profile.note_service(&mut t);
             return;
         }
         let cid = state.cid;
@@ -512,7 +512,7 @@ impl ServerNet {
             self.led.malformed_oversize.inc();
             self.led.malformed.inc();
             self.recycle(bytes);
-            self.profile.note_service(&mut t, 1);
+            self.profile.note_service(&mut t);
             return;
         }
 
@@ -543,7 +543,7 @@ impl ServerNet {
             }
         }
         self.recycle(bytes);
-        self.profile.note_service(&mut t, 1);
+        self.profile.note_service(&mut t);
     }
 
     /// Encodes one answer and puts it on the wire (through impairment
@@ -608,7 +608,6 @@ impl ServerNet {
         self.clients
             .retain(|_, s| now_us.saturating_sub(s.last_seen_us) < evict);
         self.led.clients.set(self.clients.len() as i64);
-        self.profile.refresh_util();
     }
 
     /// Returns a drained payload buffer to the pool (bounded by the

@@ -331,7 +331,7 @@ impl Swarm {
                 events += self.initiate(now_us);
             }
             if events > 0 {
-                self.profile.note_service(&mut timer, events);
+                self.profile.note_service(&mut timer);
             }
             self.maybe_sweep(now_us);
             if now_us >= t_end && self.all_idle() {
@@ -618,7 +618,6 @@ impl Swarm {
         }
         self.last_sweep_us = now_us;
         self.led.inflight.set(self.tokens_in_use as i64);
-        self.profile.refresh_util();
     }
 }
 

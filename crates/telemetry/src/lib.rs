@@ -193,24 +193,14 @@ impl Histogram {
         self.0.is_some()
     }
 
-    /// `Some(Instant::now())` when enabled — pair with
-    /// [`Histogram::record_since`] to time a section at zero disabled
-    /// cost.
+    /// `Some(Instant::now())` when enabled: the start of a measurement
+    /// that reads the clock only when a sample would land.
     #[inline]
     pub fn start(&self) -> Option<Instant> {
         if self.0.is_some() {
             Some(Instant::now())
         } else {
             None
-        }
-    }
-
-    /// Records the elapsed nanoseconds since `start` (from
-    /// [`Histogram::start`]); no-op when `start` is `None`.
-    #[inline]
-    pub fn record_since(&self, start: Option<Instant>) {
-        if let Some(t) = start {
-            self.record(t.elapsed().as_nanos() as u64);
         }
     }
 

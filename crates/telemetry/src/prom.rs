@@ -353,7 +353,7 @@ mod tests {
         let reg = crate::Registry::new();
         reg.counter("stage.decode.frames_total").add(1234);
         reg.gauge("chan.decode_in.depth").set(-3);
-        let h = reg.histogram("stage.decode.service_ns");
+        let h = reg.histogram("stage.decode.latency_ns");
         for v in [0u64, 5, 5, 700, 70_000] {
             h.record(v);
         }
@@ -361,17 +361,17 @@ mod tests {
         let scrape = parse_prometheus(&snap.render_prometheus()).unwrap();
         assert_eq!(scrape.value("etw_stage_decode_frames_total"), Some(1234.0));
         assert_eq!(scrape.value("etw_chan_decode_in_depth"), Some(-3.0));
-        assert_eq!(scrape.value("etw_stage_decode_service_ns_count"), Some(5.0));
+        assert_eq!(scrape.value("etw_stage_decode_latency_ns_count"), Some(5.0));
         assert_eq!(
-            scrape.value("etw_stage_decode_service_ns_sum"),
+            scrape.value("etw_stage_decode_latency_ns_sum"),
             Some(70_710.0)
         );
         assert_eq!(
-            scrape.kind("etw_stage_decode_service_ns"),
+            scrape.kind("etw_stage_decode_latency_ns"),
             Some(PromKind::Histogram)
         );
         assert!(scrape.inconsistent_histograms().is_empty());
-        let buckets = scrape.series("etw_stage_decode_service_ns_bucket");
+        let buckets = scrape.series("etw_stage_decode_latency_ns_bucket");
         assert_eq!(buckets.last().unwrap().label("le"), Some("+Inf"));
         assert_eq!(buckets.last().unwrap().value, 5.0);
     }

@@ -4,15 +4,15 @@
 //! crate answers *where time goes* while a campaign runs, which is what
 //! the paper's unattended ten-week capture depended on. Three layers:
 //!
-//! * [`StageProfile`] — per-stage queue-wait vs service-time split,
-//!   `busy_ns`/`idle_ns` accumulation and a derived utilisation gauge,
-//!   all landing in the existing [`etw_telemetry`] registry under
-//!   `stage.<name>.latency_ns`, `stage.<name>.queue_wait_ns`,
-//!   `stage.<name>.busy_ns_total` / `idle_ns_total` and
-//!   `stage.<name>.util_permille`. A pipeline thread drives it with the
-//!   same zero-disabled-cost idiom as [`etw_telemetry::Histogram`]:
-//!   timers are `None` when the registry is disabled, so the untraced
-//!   hot path pays one branch per update.
+//! * [`StageProfile`] — the one timer of a stage: its queue-wait vs
+//!   service-time split, as two histograms in the existing
+//!   [`etw_telemetry`] registry, `stage.<name>.queue_wait_ns` and
+//!   `stage.<name>.latency_ns`. Busy and idle time are those
+//!   histograms' sums; readers derive utilisation from their deltas. A
+//!   pipeline thread drives it with the same zero-disabled-cost idiom
+//!   as [`etw_telemetry::Histogram`]: timers are `None` when the
+//!   registry is disabled, so the untraced hot path pays one branch per
+//!   update.
 //! * [`ring`] — the flight recorder: one bounded single-writer
 //!   [`ring::SpanRing`] per worker, seqlock slots, zero allocation in
 //!   steady state. The supervisor merges every ring with
@@ -32,7 +32,7 @@
 
 #![warn(missing_docs)]
 
-use etw_telemetry::{Counter, Gauge, Histogram, Registry};
+use etw_telemetry::{Histogram, Registry};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -251,8 +251,10 @@ impl StageTimer {
 }
 
 /// Per-stage wall-time accounting: the queue-wait vs service-time
-/// split, cumulative busy/idle nanoseconds and the derived utilisation
-/// gauge. One profile per stage thread; all handles are lock-free.
+/// split, one histogram each. A stage's busy and idle nanoseconds are
+/// the histograms' sums, so utilisation over any window is
+/// `Δlatency.sum / (Δlatency.sum + Δqueue_wait.sum)`. One profile per
+/// stage thread; all handles are lock-free.
 ///
 /// The driving pattern, once per loop iteration:
 ///
@@ -264,33 +266,34 @@ impl StageTimer {
 /// let mut t = profile.begin();       // before blocking on input
 /// /* item = rx.recv() */
 /// profile.note_wait(&mut t);         // wait ends, service begins
-/// /* process(item) */
-/// profile.note_service(&mut t, 1);   // service ends; next wait begins
-/// # let snap = registry.snapshot();
-/// # assert_eq!(snap.histogram("stage.format.latency_ns").unwrap().count, 1);
+/// /* out = process(item) */
+/// profile.note_service(&mut t);      // service ends
+/// /* tx.send(out) */
+/// t = profile.begin();               // restart after the send
+/// # drop(t);
+/// let snap = registry.snapshot();
+/// assert_eq!(snap.histogram("stage.format.latency_ns").unwrap().count, 1);
+/// assert_eq!(snap.histograms.len(), 2);
 /// ```
+///
+/// A stage that sends downstream closes its span before the send and
+/// restarts the timer after it, so time blocked on a full output
+/// channel lands only in that channel's `chan.<name>.stall_ns_total`.
 #[derive(Clone, Debug)]
 pub struct StageProfile {
     latency_ns: Histogram,
     queue_wait_ns: Histogram,
-    busy_ns: Counter,
-    idle_ns: Counter,
-    util: Gauge,
 }
 
 impl StageProfile {
-    /// Registers the stage's metrics (`stage.<name>.latency_ns`,
-    /// `.queue_wait_ns`, `.busy_ns_total`, `.idle_ns_total`,
-    /// `.util_permille`). All handles are no-ops for a disabled
+    /// Registers the stage's two histograms, `stage.<name>.latency_ns`
+    /// and `stage.<name>.queue_wait_ns`. Both are no-ops for a disabled
     /// registry.
     pub fn new(registry: &Registry, stage: StageId) -> StageProfile {
         let name = stage.name();
         StageProfile {
             latency_ns: registry.histogram(&format!("stage.{name}.latency_ns")),
             queue_wait_ns: registry.histogram(&format!("stage.{name}.queue_wait_ns")),
-            busy_ns: registry.counter(&format!("stage.{name}.busy_ns_total")),
-            idle_ns: registry.counter(&format!("stage.{name}.idle_ns_total")),
-            util: registry.gauge(&format!("stage.{name}.util_permille")),
         }
     }
 
@@ -299,9 +302,6 @@ impl StageProfile {
         StageProfile {
             latency_ns: Histogram::noop(),
             queue_wait_ns: Histogram::noop(),
-            busy_ns: Counter::noop(),
-            idle_ns: Counter::noop(),
-            util: Gauge::noop(),
         }
     }
 
@@ -314,55 +314,34 @@ impl StageProfile {
     /// Starts a measurement; reads the clock only when enabled.
     #[inline]
     pub fn begin(&self) -> StageTimer {
-        if self.is_enabled() {
-            StageTimer(Some(Instant::now()))
-        } else {
-            StageTimer(None)
-        }
+        StageTimer(self.latency_ns.start())
     }
 
-    /// Ends a queue-wait: the elapsed time lands in
-    /// `queue_wait_ns` + `idle_ns_total`, and the timer restarts for
-    /// the service measurement. Returns the waited nanoseconds.
+    /// Ends a queue-wait: the elapsed time lands in `queue_wait_ns`,
+    /// and the timer restarts for the service measurement. Returns the
+    /// waited nanoseconds.
     #[inline]
     pub fn note_wait(&self, t: &mut StageTimer) -> u64 {
-        self.note(t, &self.queue_wait_ns, &self.idle_ns)
+        note(t, &self.queue_wait_ns)
     }
 
-    /// Ends a service span: the elapsed time lands in `latency_ns` +
-    /// `busy_ns_total`, the utilisation gauge is refreshed, and the
-    /// timer restarts for the next wait. Returns the service
-    /// nanoseconds. `_items` documents the batch size at the call site;
-    /// item counts are tracked by the stage's own `*_total` counters.
+    /// Ends a service span: the elapsed time lands in `latency_ns`, and
+    /// the timer restarts for the next wait. Returns the service
+    /// nanoseconds.
     #[inline]
-    pub fn note_service(&self, t: &mut StageTimer, _items: u64) -> u64 {
-        let ns = self.note(t, &self.latency_ns, &self.busy_ns);
-        if ns > 0 {
-            self.refresh_util();
-        }
-        ns
+    pub fn note_service(&self, t: &mut StageTimer) -> u64 {
+        note(t, &self.latency_ns)
     }
+}
 
-    #[inline]
-    fn note(&self, t: &mut StageTimer, hist: &Histogram, total: &Counter) -> u64 {
-        let Some(started) = t.0 else { return 0 };
-        let now = Instant::now();
-        let ns = now.duration_since(started).as_nanos() as u64;
-        hist.record(ns);
-        total.add(ns);
-        t.0 = Some(now);
-        ns
-    }
-
-    /// Recomputes `util_permille` = busy / (busy + idle) × 1000 from
-    /// the cumulative counters.
-    pub fn refresh_util(&self) {
-        let busy = self.busy_ns.get();
-        let idle = self.idle_ns.get();
-        if let Some(permille) = busy.saturating_mul(1000).checked_div(busy + idle) {
-            self.util.set(permille as i64);
-        }
-    }
+#[inline]
+fn note(t: &mut StageTimer, hist: &Histogram) -> u64 {
+    let Some(started) = t.0 else { return 0 };
+    let now = Instant::now();
+    let ns = now.duration_since(started).as_nanos() as u64;
+    hist.record(ns);
+    t.0 = Some(now);
+    ns
 }
 
 #[cfg(test)]
@@ -418,17 +397,17 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         let waited = profile.note_wait(&mut t);
         assert!(waited >= 1_000_000, "slept 1ms, waited {waited}ns");
-        let served = profile.note_service(&mut t, 10);
+        let served = profile.note_service(&mut t);
         let snap = registry.snapshot();
-        assert_eq!(
-            snap.histogram("stage.decode.queue_wait_ns").unwrap().count,
-            1
-        );
-        assert_eq!(snap.histogram("stage.decode.latency_ns").unwrap().count, 1);
-        assert_eq!(snap.counter("stage.decode.idle_ns_total"), waited);
-        assert_eq!(snap.counter("stage.decode.busy_ns_total"), served);
-        let util = snap.gauge("stage.decode.util_permille");
-        assert!((0..=1000).contains(&util), "permille out of range: {util}");
+        let wait = snap.histogram("stage.decode.queue_wait_ns").unwrap();
+        assert_eq!(wait.count, 1);
+        assert_eq!(wait.sum, waited);
+        let service = snap.histogram("stage.decode.latency_ns").unwrap();
+        assert_eq!(service.count, 1);
+        assert_eq!(service.sum, served);
+        // Exactly the two histograms: nothing restates their sums.
+        assert_eq!(snap.histograms.len(), 2);
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
     }
 
     #[test]
@@ -437,11 +416,11 @@ mod tests {
         assert!(!profile.is_enabled());
         let mut t = profile.begin();
         assert_eq!(profile.note_wait(&mut t), 0);
-        assert_eq!(profile.note_service(&mut t, 5), 0);
+        assert_eq!(profile.note_service(&mut t), 0);
         let noop = StageProfile::noop();
         assert!(!noop.is_enabled());
         let mut t = StageTimer::noop();
-        assert_eq!(noop.note_service(&mut t, 1), 0);
+        assert_eq!(noop.note_service(&mut t), 0);
     }
 
     #[test]

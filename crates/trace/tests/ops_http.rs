@@ -17,7 +17,7 @@ fn golden_registry() -> Registry {
     reg.counter("stage.decode.frames_total").add(40_960);
     reg.counter("stage.write.bytes_total").add(1_048_576);
     reg.gauge("chan.decode_in.depth").set(12);
-    reg.gauge("stage.decode.util_permille").set(875);
+    reg.gauge("stage.reorder.depth_hwm").set(875);
     let h = reg.histogram("stage.decode.latency_ns");
     for v in [0u64, 1, 3, 900, 900, 70_000] {
         h.record(v);
@@ -61,8 +61,8 @@ fn metrics_endpoint_matches_golden_and_round_trips() {
         Some(snap.counter("stage.decode.frames_total") as f64)
     );
     assert_eq!(
-        scrape.value("etw_stage_decode_util_permille"),
-        Some(snap.gauge("stage.decode.util_permille") as f64)
+        scrape.value("etw_stage_reorder_depth_hwm"),
+        Some(snap.gauge("stage.reorder.depth_hwm") as f64)
     );
     let hist = snap.histogram("stage.decode.latency_ns").unwrap();
     assert_eq!(

@@ -7,8 +7,8 @@
 //! etwtool head       <dataset[.etwz]> [N]    print the first N records
 //! etwtool compress   <in.xml> <out.etwz>     LZSS storage codec
 //! etwtool decompress <in.etwz> <out.xml>
-//! etwtool monitor    [--tiny] [--faulty] [--top] [--weeks N] [--shards N]  run a campaign with live telemetry
-//! etwtool serve      [--addr HOST:PORT] [--tiny|--faulty]  campaign + /health.json + /metrics over HTTP
+//! etwtool monitor    [--tiny] [--faulty] [--top] [--weeks N] [--shards N] [--addr HOST:PORT]
+//!                    run a campaign with live telemetry (--addr: also /health.json + /metrics over HTTP)
 //! etwtool trace-dump <file.etwtrace>         pretty-print a flight-recorder dump
 //! etwtool trace-check [--dir DIR]            faulty campaign must produce parseable flight dumps
 //! etwtool lint       [--format text|json|sarif] [--list]   repo-specific static analysis (etwlint)
@@ -47,7 +47,6 @@ fn main() -> ExitCode {
         Some("split") => cmd_split(&args[1..]),
         Some("merge") => cmd_merge(&args[1..]),
         Some("monitor") => cmd_monitor(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
         Some("trace-dump") => cmd_trace_dump(&args[1..]),
         Some("trace-check") => cmd_trace_check(&args[1..]),
         Some("lint") => return cmd_lint(&args[1..]),
@@ -58,7 +57,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: etwtool <validate|stats|head|compress|decompress|split|merge|monitor|serve|trace-dump|trace-check|lint|checkpoint-inspect|spec> [args]"
+                "usage: etwtool <validate|stats|head|compress|decompress|split|merge|monitor|trace-dump|trace-check|lint|checkpoint-inspect|spec> [args]"
             );
             return ExitCode::from(2);
         }
@@ -247,6 +246,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
 /// ```text
 /// etwtool monitor [--tiny] [--faulty] [--top] [--weeks N] [--shards N]
 ///                 [--refresh-ms MS] [--prom FILE] [--trace-dir DIR]
+///                 [--addr HOST:PORT [--linger-ms MS]]
 /// ```
 ///
 /// `--top` switches the single status line for a per-stage dashboard:
@@ -256,7 +256,10 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
 /// `--faulty` runs the soak configuration (lossy link, overload
 /// windows, scheduled worker crashes); `--trace-dir` additionally arms
 /// the flight recorder so fault events drop `flight_*.etwtrace` files
-/// there.
+/// there. `--addr` serves the same registry over HTTP for the whole run
+/// — `GET /health.json` (counters, gauges, histogram summaries) and
+/// `GET /metrics` (Prometheus text format) — and `--linger-ms` keeps
+/// the listener up that long after the campaign for late scrapes.
 fn cmd_monitor(args: &[String]) -> Result<(), String> {
     let mut tiny = false;
     let mut faulty = false;
@@ -266,12 +269,21 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     let mut refresh_ms = 500u64;
     let mut prom: Option<String> = None;
     let mut trace_dir: Option<PathBuf> = None;
+    let mut addr: Option<String> = None;
+    let mut linger_ms = 0u64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--tiny" => tiny = true,
             "--faulty" => faulty = true,
             "--top" => top = true,
+            "--addr" => addr = Some(it.next().ok_or("--addr needs HOST:PORT")?.clone()),
+            "--linger-ms" => {
+                linger_ms = it
+                    .next()
+                    .and_then(|w| w.parse().ok())
+                    .ok_or("--linger-ms needs a duration in ms")?
+            }
             "--trace-dir" => {
                 trace_dir = Some(PathBuf::from(
                     it.next().ok_or("--trace-dir needs a directory")?,
@@ -334,6 +346,18 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
         ));
     }
     let registry = Registry::new();
+    let server = match &addr {
+        Some(addr) => {
+            let server = serve(addr, Arc::new(RegistryOps::new(registry.clone())))
+                .map_err(|e| format!("{addr}: {e}"))?;
+            println!(
+                "serving GET /health.json and GET /metrics on http://{}",
+                server.local_addr()
+            );
+            Some(server)
+        }
+        None => None,
+    };
     let worker_registry = registry.clone();
     let worker = std::thread::spawn(move || {
         Campaign::new(&config)
@@ -384,6 +408,13 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
         let text = registry.snapshot().render_prometheus();
         fs::write(&path, text).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}");
+    }
+    if let Some(server) = server {
+        if linger_ms > 0 {
+            println!("lingering {linger_ms} ms for late scrapes");
+            std::thread::sleep(Duration::from_millis(linger_ms));
+        }
+        server.shutdown();
     }
     Ok(())
 }
@@ -521,8 +552,8 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
     };
     let virtual_secs = snap.gauge("campaign.virtual_secs").max(0) as u64;
     println!(
-        "virt {:>7}s/{} ({:>5.1}%) | frames {:>11} ({:>9.0}/s) | records {:>11} | \
-         fmt {:>8} batch {:>6.1} MB ({:>7.0} rec/s) | wr {:>6.1} MB | \
+        "virt {:>7}s/{} ({:>5.1}%) | frames {:>11} ({:>9.0}/s) | \
+         records {:>11} ({:>7.0}/s) | wr {:>8} batch {:>6.1} MB | \
          lost {:>6} | q_in {:>4} | q_sh {:>3} | q_asm {:>3} | q_fmt {:>3} | q_wr {:>3} | \
          stalls {:>4}",
         virtual_secs,
@@ -531,9 +562,8 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
         grouped(snap.counter("stage.producer.frames_total")),
         per_sec("stage.producer.frames_total"),
         grouped(snap.counter("stage.sink.records_total")),
-        grouped(snap.counter("stage.format.batches_total")),
-        snap.counter("stage.format.bytes_total") as f64 / 1e6,
-        per_sec("stage.format.records_total"),
+        per_sec("stage.sink.records_total"),
+        grouped(snap.counter("stage.write.batches_total")),
         snap.counter("stage.write.bytes_total") as f64 / 1e6,
         snap.counter("ring.lost_total"),
         snap.gauge("chan.decode_in.depth"),
@@ -548,10 +578,12 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
 }
 
 /// The `--top` dashboard: one row per pipeline stage, driven entirely
-/// by the `stage.<name>.latency_ns` / `queue_wait_ns` / `util_permille`
-/// instruments the stage-span layer maintains, plus the input-queue
-/// depth gauges. Stages that have not run yet (e.g. the shard pool
-/// before its first batch) are omitted.
+/// by the `stage.<name>.latency_ns` / `queue_wait_ns` histograms the
+/// stage-span layer maintains, plus the input-queue depth gauges.
+/// `util‰` is the stage's service share of the refresh window,
+/// `Δlatency.sum / (Δlatency.sum + Δqueue_wait.sum)`; time blocked on a
+/// full output channel is in neither sum. Stages that have not run yet
+/// (e.g. the shard pool before its first batch) are omitted.
 fn print_top(
     snap: &Snapshot,
     prev: &Snapshot,
@@ -589,24 +621,26 @@ fn print_top(
         ("format", "chan.fmt_in.depth"),
         ("write", "chan.write_in.depth"),
     ] {
-        let Some(lat) = snap.histogram(&format!("stage.{stage}.latency_ns")) else {
+        let lat_name = format!("stage.{stage}.latency_ns");
+        let wait_name = format!("stage.{stage}.queue_wait_ns");
+        let (Some(lat), Some(wait)) = (snap.histogram(&lat_name), snap.histogram(&wait_name))
+        else {
             continue;
         };
-        let prev_count = prev
-            .histogram(&format!("stage.{stage}.latency_ns"))
-            .map_or(0, |h| h.count);
-        let ops = (lat.count - prev_count) as f64 * 1_000.0 / refresh_ms.max(1) as f64;
-        let wait99 = snap
-            .histogram(&format!("stage.{stage}.queue_wait_ns"))
-            .map_or(0, |h| h.quantile(0.99));
+        let (prev_lat, prev_wait) = (prev.histogram(&lat_name), prev.histogram(&wait_name));
+        let ops = (lat.count - prev_lat.map_or(0, |h| h.count)) as f64 * 1_000.0
+            / refresh_ms.max(1) as f64;
+        let busy = lat.sum - prev_lat.map_or(0, |h| h.sum);
+        let idle = wait.sum - prev_wait.map_or(0, |h| h.sum);
+        let util = busy.saturating_mul(1000).checked_div(busy + idle);
         println!(
             "   {:<9} {:>9.0} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>5}",
             stage,
             ops,
-            snap.gauge(&format!("stage.{stage}.util_permille")),
+            util.unwrap_or(0),
             lat.quantile(0.50) as f64 / 1e3,
             lat.quantile(0.99) as f64 / 1e3,
-            wait99 as f64 / 1e3,
+            wait.quantile(0.99) as f64 / 1e3,
             snap.gauge(queue),
         );
     }
@@ -634,54 +668,59 @@ fn print_top(
 }
 
 /// The shard-balance panel: one row per anonymiser shard, from the
-/// per-shard `anon.shard<i>.*` ledgers the pipeline maintains next to
-/// the aggregates. Shown only when the shard pool is actually fanned
-/// out (≥2 shards with work), since a single shard has nothing to skew.
-/// `skew` is the spread between the busiest and laziest shard in the
-/// refresh window — a persistently hot shard means the id spaces are
-/// striping unevenly across the pool.
+/// per-shard `anon.shard<i>.*` ledgers the pipeline maintains. Every
+/// shard sees every batch, so balance shows in the ids each shard
+/// resolved and the share of the refresh window it spent busy. Shown
+/// only when the shard pool is actually fanned out (≥2 shards that
+/// resolved ids), since a single shard has nothing to skew. The skews
+/// are the spread between the busiest and laziest shard in the window
+/// — a persistently hot shard means the id spaces are striping
+/// unevenly across the pool.
 fn print_shard_balance(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64) {
     const MAX_SHARDS: usize = 16;
-    let active: Vec<usize> = (0..MAX_SHARDS)
-        .filter(|s| snap.counter(&format!("anon.shard{s}.batches_total")) > 0)
-        .collect();
+    let ids = |s: usize| {
+        (
+            snap.counter(&format!("anon.shard{s}.client_ids_total")),
+            snap.counter(&format!("anon.shard{s}.file_ids_total")),
+        )
+    };
+    let active: Vec<usize> = (0..MAX_SHARDS).filter(|&s| ids(s) != (0, 0)).collect();
     if active.len() < 2 {
         return;
     }
     println!(
-        "   {:<9} {:>9} {:>11} {:>11} {:>9} {:>5}",
-        "shard", "ops/s", "clientIDs", "fileIDs", "busy\u{2030}", "q"
+        "   {:<9} {:>11} {:>11} {:>9} {:>5}",
+        "shard", "clientIDs", "fileIDs", "busy\u{2030}", "q"
     );
     let window_ns = refresh_ms.max(1) as f64 * 1e6;
-    let mut min_ops = f64::MAX;
-    let mut max_ops = 0.0f64;
+    let mut min_busy = f64::MAX;
+    let mut max_busy = 0.0f64;
     let mut min_q = i64::MAX;
     let mut max_q = i64::MIN;
     for &s in &active {
-        let ops = snap.counter_delta(prev, &format!("anon.shard{s}.batches_total")) as f64
+        let busy = snap.counter_delta(prev, &format!("anon.shard{s}.busy_ns_total")) as f64
             * 1_000.0
-            / refresh_ms.max(1) as f64;
-        let busy = snap.counter_delta(prev, &format!("anon.shard{s}.busy_ns_total")) as f64;
+            / window_ns;
         let depth = snap.gauge(&format!("anon.shard{s}.queue_depth"));
-        min_ops = min_ops.min(ops);
-        max_ops = max_ops.max(ops);
+        min_busy = min_busy.min(busy);
+        max_busy = max_busy.max(busy);
         min_q = min_q.min(depth);
         max_q = max_q.max(depth);
+        let (client_ids, file_ids) = ids(s);
         println!(
-            "   shard{:<4} {:>9.0} {:>11} {:>11} {:>9.0} {:>5}",
+            "   shard{:<4} {:>11} {:>11} {:>9.0} {:>5}",
             s,
-            ops,
-            grouped(snap.counter(&format!("anon.shard{s}.client_ids_total"))),
-            grouped(snap.counter(&format!("anon.shard{s}.file_ids_total"))),
-            busy * 1_000.0 / window_ns,
+            grouped(client_ids),
+            grouped(file_ids),
+            busy,
             depth,
         );
     }
     println!(
-        "   balance   ops skew {:>5.0}/s ({:.0}..{:.0}), depth skew {} ({}..{})",
-        max_ops - min_ops,
-        min_ops,
-        max_ops,
+        "   balance   busy skew {:>4.0}\u{2030} ({:.0}..{:.0}), depth skew {} ({}..{})",
+        max_busy - min_busy,
+        min_busy,
+        max_busy,
         max_q - min_q,
         min_q,
         max_q,
@@ -707,110 +746,6 @@ fn sparkline(samples: &[f64]) -> String {
             GLYPHS[idx.min(7)]
         })
         .collect()
-}
-
-/// Runs a campaign while serving its live metric registry over HTTP:
-/// `GET /health.json` (counters, gauges, histogram summaries) and
-/// `GET /metrics` (Prometheus text format).
-///
-/// ```text
-/// etwtool serve [--addr HOST:PORT] [--tiny|--faulty] [--weeks N]
-///               [--shards N] [--linger-ms MS]
-/// ```
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut addr = "127.0.0.1:9463".to_string();
-    let mut tiny = false;
-    let mut faulty = false;
-    let mut weeks = 1u64;
-    let mut shards = 1usize;
-    let mut linger_ms = 0u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
-            "--tiny" => tiny = true,
-            "--faulty" => faulty = true,
-            "--weeks" => {
-                weeks = it
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or("--weeks needs a positive integer")?
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or("--shards needs a power of two in 1..=16")?
-            }
-            "--linger-ms" => {
-                linger_ms = it
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or("--linger-ms needs a duration in ms")?
-            }
-            other => return Err(format!("unknown serve option {other:?}")),
-        }
-    }
-    if !edonkey_ten_weeks::anonymize::shard::shard_count_valid(shards) {
-        return Err(format!(
-            "--shards must be a power of two in 1..=16, got {shards}"
-        ));
-    }
-    let mut config = if faulty {
-        CampaignConfig::tiny_faulty()
-    } else if tiny {
-        CampaignConfig::tiny()
-    } else {
-        let mut c = CampaignConfig::default();
-        c.generator.duration_secs = weeks.max(1) * 7 * 86_400;
-        c
-    };
-    config.health_interval_secs = if tiny || faulty { 300 } else { 3_600 };
-
-    let registry = Registry::new();
-    let server = serve(&addr, Arc::new(RegistryOps::new(registry.clone())))
-        .map_err(|e| format!("{addr}: {e}"))?;
-    println!(
-        "serving GET /health.json and GET /metrics on http://{}",
-        server.local_addr()
-    );
-
-    let tail = TailConfig {
-        anon_shards: shards,
-        ..TailConfig::default()
-    };
-    let worker_registry = registry.clone();
-    let worker = std::thread::spawn(move || {
-        Campaign::new(&config)
-            .registry(&worker_registry)
-            .run_to_writer(
-                tail,
-                DatasetWriter::new(std::io::sink()).expect("sink write"),
-                |_| {},
-            )
-            .map(|(report, writer)| {
-                let _ = writer.finish();
-                report
-            })
-    });
-    while !worker.is_finished() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let report = worker
-        .join()
-        .map_err(|_| "campaign thread panicked")?
-        .map_err(|e| format!("campaign failed: {e}"))?;
-    println!(
-        "campaign finished: {} records, {} health snapshots",
-        grouped(report.records),
-        report.health.records.len()
-    );
-    if linger_ms > 0 {
-        println!("lingering {linger_ms} ms for late scrapes");
-        std::thread::sleep(Duration::from_millis(linger_ms));
-    }
-    server.shutdown();
-    Ok(())
 }
 
 /// Pretty-prints a `flight_*.etwtrace` dump written by the pipeline's

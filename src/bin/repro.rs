@@ -512,7 +512,7 @@ fn health(c: &CampaignRun, out: &Path, tiny: bool) {
         snap.counter("chan.decode_in.stalls_total"),
         snap.gauge("stage.reorder.depth_hwm"),
     );
-    if let Some(service) = snap.histogram("stage.decode.service_ns") {
+    if let Some(service) = snap.histogram("stage.decode.latency_ns") {
         println!(
             "  decode service time: mean {:.0} ns, p50 ≤ {} ns, p99 ≤ {} ns",
             service.mean(),

@@ -1,11 +1,14 @@
 //! The telemetry registry as a witness: every conservation law the
 //! report structs satisfy must also hold in the metric counters, the
-//! health series must be monotone in both clocks, and the rendered
+//! health series must be monotone in both clocks, the rendered
 //! artefacts (health table, Prometheus exposition) must agree with the
-//! registry.
+//! registry, and the set of exported metric names is a reviewed list.
 
+use edonkey_ten_weeks::core::pipeline::TailConfig;
 use edonkey_ten_weeks::core::{render_health_dat, Campaign, CampaignConfig};
 use edonkey_ten_weeks::telemetry::Registry;
+use edonkey_ten_weeks::xmlout::writer::DatasetWriter;
+use std::collections::BTreeSet;
 
 #[test]
 fn telemetry_counters_obey_conservation_laws() {
@@ -42,14 +45,14 @@ fn telemetry_counters_obey_conservation_laws() {
 
     // The decode service-time histogram saw one sample per batch.
     let service = snap
-        .histogram("stage.decode.service_ns")
+        .histogram("stage.decode.latency_ns")
         .expect("decode histogram exists");
     assert_eq!(service.count, out_batches);
     assert!(service.sum > 0);
     assert!(service.min <= service.max);
 
-    // Sink accounting: records partition into directions, and the
-    // anonymiser was timed once per record.
+    // Sink accounting: records partition into directions. The serial
+    // tail anonymises inside the reorder span, timed once per batch.
     let records = snap.counter("stage.sink.records_total");
     assert_eq!(records, report.records);
     assert_eq!(
@@ -57,10 +60,10 @@ fn telemetry_counters_obey_conservation_laws() {
         records
     );
     assert_eq!(
-        snap.histogram("stage.anonymize.service_ns")
-            .expect("anonymize histogram exists")
+        snap.histogram("stage.reorder.latency_ns")
+            .expect("reorder histogram exists")
             .count,
-        records
+        out_batches
     );
 
     // Application layer: the generator's own counters match the
@@ -157,7 +160,7 @@ fn rendered_artefacts_match_the_registry() {
         report.capture.offered
     )));
     assert!(prom.contains(&format!("etw_stage_sink_records_total {}", report.records)));
-    assert!(prom.contains("# TYPE etw_stage_decode_service_ns histogram"));
+    assert!(prom.contains("# TYPE etw_stage_decode_latency_ns histogram"));
 }
 
 #[test]
@@ -174,4 +177,42 @@ fn disabled_registry_leaves_no_trace() {
     assert_eq!(snap.counter("ring.offered_total"), 0);
     assert_eq!(snap.render_prometheus(), "");
     assert!(report.records > 0, "the campaign itself still runs");
+}
+
+#[test]
+fn metric_surface_is_the_reviewed_list() {
+    // Every counter, gauge and histogram name a tiny writer-tail
+    // campaign exports. A change that adds or removes an instrument
+    // updates the golden list in its own diff.
+    for (shards, golden) in [
+        (1, include_str!("golden/metric_names_s1.txt")),
+        (4, include_str!("golden/metric_names_s4.txt")),
+    ] {
+        let registry = Registry::new();
+        let tail = TailConfig {
+            anon_shards: shards,
+            ..TailConfig::default()
+        };
+        let (_, writer) = Campaign::new(&CampaignConfig::tiny())
+            .registry(&registry)
+            .run_to_writer(tail, DatasetWriter::new(std::io::sink()).unwrap(), |_| {})
+            .expect("valid config");
+        writer.finish().unwrap();
+        let snap = registry.snapshot();
+        let names: BTreeSet<&str> = snap
+            .counters
+            .keys()
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .map(String::as_str)
+            .collect();
+        let expected: BTreeSet<&str> = golden.lines().collect();
+        let added: Vec<_> = names.difference(&expected).collect();
+        let missing: Vec<_> = expected.difference(&names).collect();
+        assert!(
+            added.is_empty() && missing.is_empty(),
+            "tests/golden/metric_names_s{shards}.txt: added {added:?}, missing {missing:?}"
+        );
+        assert!(golden.lines().is_sorted(), "keep the golden list sorted");
+    }
 }
