@@ -23,7 +23,6 @@ use etw_telemetry::Registry;
 use etw_workload::catalog::Catalog;
 use etw_workload::clients::Population;
 use etw_xmlout::writer::DatasetWriter;
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -348,26 +347,14 @@ fn campaign_inner_core<T>(
     }
     let catalog = Arc::new(Catalog::generate(&config.catalog, config.seed ^ 1));
     let population = Arc::new(Population::generate(&config.population, config.seed ^ 2));
-    let capture_stats = Arc::new(Mutex::new(CaptureSide::default()));
     let mut capture = CaptureBuffer::new(config.capture_ring, config.capture_drain_pps);
     capture.attach_telemetry(registry);
-    let health_out: Arc<Mutex<Option<(HealthRecorder, u64)>>> = Arc::new(Mutex::new(None));
     // The sharded front-end: `config.source.source_shards` generator
     // workers and index shards behind a sequential merger — frame output
     // is byte-identical for every shard count (DESIGN.md §17).
-    let frames = SourceStream::spawn(
-        catalog,
-        population,
-        config,
-        registry,
-        capture,
-        Arc::clone(&capture_stats),
-        Some(HealthRecorder::new(
-            registry.clone(),
-            config.health_interval_secs,
-        )),
-        Arc::clone(&health_out),
-    );
+    let health = HealthRecorder::new(registry.clone(), config.health_interval_secs);
+    let mut source =
+        SourceStream::spawn(catalog, population, config, registry, capture, Some(health));
 
     // Resume restores the anonymiser by replaying its appearance orders;
     // a fresh run starts empty. Either way the frame stream replays from
@@ -407,9 +394,13 @@ fn campaign_inner_core<T>(
     // The lossy link sits between the capture tap and the pipeline, so
     // `faults.link.offered_total` equals the ring's captured count.
     let frames: Box<dyn Iterator<Item = TimedFrame> + Send + '_> = if config.faults.link_active() {
-        Box::new(FaultyLink::new(frames, config.faults.clone(), registry))
+        Box::new(FaultyLink::new(
+            source.by_ref(),
+            config.faults.clone(),
+            registry,
+        ))
     } else {
-        Box::new(frames)
+        Box::new(source.by_ref())
     };
 
     let (pipeline, scheme, extra) = run_tail(frames, scheme, &opts)?;
@@ -436,19 +427,9 @@ fn campaign_inner_core<T>(
         .gauge("anon.fileid.max_shift")
         .set(probes.max_shift as i64);
 
-    let capture = Arc::try_unwrap(capture_stats)
-        // etwlint: allow(no-panic-hot-path): the pipeline has joined by
-        // here, so this Arc is provably the last holder; failure would be
-        // a refcount-leak bug worth aborting on.
-        .expect("no other capture-stats holders")
-        .into_inner();
     // Cut the final health record only now, after the sink has drained,
     // so its snapshot agrees with the report's totals.
-    let health = health_out
-        .lock()
-        .take()
-        .map(|(h, virtual_us)| h.finish(virtual_us))
-        .unwrap_or_default();
+    let (capture, health) = source.finish();
     Ok((
         CampaignReport {
             records: pipeline.records,

@@ -426,6 +426,20 @@ pub struct PipelineCheckpoint {
     pub file_order: Vec<FileId>,
 }
 
+impl PipelineCheckpoint {
+    /// Completes the cut the reorder stage made at `at` with the
+    /// anonymiser's appearance orders.
+    fn at(at: ResumePoint, client_order: Vec<u32>, file_order: Vec<FileId>) -> Self {
+        PipelineCheckpoint {
+            virtual_us: at.virtual_us,
+            next_checkpoint_us: at.next_checkpoint_us,
+            records: at.records,
+            client_order,
+            file_order,
+        }
+    }
+}
+
 /// A decoded message with its envelope, in capture order.
 #[derive(Clone, Debug)]
 struct DecodedMsg {
@@ -453,29 +467,6 @@ const FRAME_BATCH: usize = 256;
 /// worker-output queue. In frames this bounds roughly the same buffering
 /// as the old per-frame caps (1024 and 4096).
 const FRAME_QUEUE: usize = 8;
-
-/// Handles for the sequential sink stage (reorder + anonymise).
-struct SinkTelemetry {
-    reorder_depth: Gauge,
-    reorder_depth_hwm: Gauge,
-    records: Counter,
-    queries: Counter,
-    to_server: Counter,
-    from_server: Counter,
-}
-
-impl SinkTelemetry {
-    fn new(registry: &Registry) -> Self {
-        SinkTelemetry {
-            reorder_depth: registry.gauge("stage.reorder.depth"),
-            reorder_depth_hwm: registry.gauge("stage.reorder.depth_hwm"),
-            records: registry.counter("stage.sink.records_total"),
-            queries: registry.counter("stage.sink.queries_total"),
-            to_server: registry.counter("stage.sink.to_server_total"),
-            from_server: registry.counter("stage.sink.from_server_total"),
-        }
-    }
-}
 
 /// Runs the full pipeline over `frames` (the serial tail), invoking
 /// `on_record` for every anonymised record in deterministic capture
@@ -517,16 +508,16 @@ impl SinkTelemetry {
 ///   assignment, keeping one in `shed_keep_every`. Shedding upstream of
 ///   the sequence space keeps the decision deterministic: a resumed run
 ///   sheds the exact same frames.
-/// * **Checkpoints** — with a nonzero interval, the sequential sink cuts
-///   a [`PipelineCheckpoint`] the moment it meets the first message at
-///   or past the boundary (so the cut state is exactly "everything
-///   before this message"), then arms the next boundary past that
-///   message's timestamp.
-/// * **Resume** — with [`PipelineOptions::resume`], the sink replays the
-///   deterministic frame stream but skips the first `records` messages
-///   without touching anonymiser state (that state was restored from
-///   the checkpoint), then continues exactly where the interrupted run
-///   left off.
+/// * **Checkpoints** — with a nonzero interval, the reorder stage both
+///   tails share cuts a [`PipelineCheckpoint`] the moment it meets the
+///   first message at or past the boundary (so the cut state is exactly
+///   "everything before this message"), then arms the next boundary
+///   past that message's timestamp.
+/// * **Resume** — with [`PipelineOptions::resume`], the same shared
+///   reorder stage replays the deterministic frame stream but consumes
+///   the first `records` messages without handing them to the tail (the
+///   anonymiser state was restored from the checkpoint), then continues
+///   exactly where the interrupted run left off.
 pub fn run_capture_pipeline_with<I>(
     frames: I,
     n_workers: usize,
@@ -540,112 +531,33 @@ where
     I: Iterator<Item = TimedFrame> + Send,
 {
     assert!(n_workers > 0);
-    let mut stats = PipelineStats::default();
-    if opts
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.crash_every > 0)
-    {
-        silence_injected_crashes();
-    }
-
     let trace_ctx = opts
         .trace
         .as_ref()
         .map(|t| TraceCtx::new(t, n_workers, 0, registry));
-    crossbeam::thread::scope(|scope| {
-        let (out_rx, producer, handles) = spawn_front(
+    // The serial tail anonymises inside the reorder span.
+    let emit = |step: Step| {
+        match step {
+            Step::Cut(at) => on_checkpoint(PipelineCheckpoint::at(
+                at,
+                scheme.client_encoder().appearance_order(),
+                scheme.file_encoder().appearance_order(),
+            )),
+            Step::Msg(d) => on_record(scheme.anonymize(d.ts.0, d.peer, &d.msg)),
+            Step::SpanClosed => {}
+        }
+        true
+    };
+    let (mut stats, _) = crossbeam::thread::scope(|scope| {
+        run_front(
             scope,
             frames,
             n_workers,
             registry,
-            opts.faults.clone(),
-            trace_ctx.clone(),
-        );
-
-        // Sink: restore sequence order, then anonymise sequentially.
-        let seq_trace = StageTrace::new(
-            registry,
-            StageId::Reorder,
-            trace_ctx.as_ref().map(|c| c.lane(lane_seq(n_workers), 0)),
-        );
-        let sink = SinkTelemetry::new(registry);
-        let cp_interval = opts.checkpoint_interval_us;
-        let (skip, mut last_ts, mut next_cp) = match &opts.resume {
-            Some(r) => (r.records, r.virtual_us, r.next_checkpoint_us),
-            None => (0, 0, cp_interval),
-        };
-        // Messages consumed since *stream* start, skipped ones included,
-        // so checkpoint record counts agree between full and resumed runs.
-        let mut consumed = 0u64;
-        let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let mut pt = seq_trace.begin();
-        while let Ok(batch) = out_rx.recv() {
-            let w0 = seq_trace.service_begin(&mut pt);
-            for (seq, decoded) in batch {
-                reorder.insert(seq, decoded);
-            }
-            while let Some(decoded) = reorder.remove(&next_seq) {
-                next_seq += 1;
-                let Some(d) = decoded else { continue };
-                if cp_interval > 0 && d.ts.0 >= next_cp {
-                    // Cut *before* consuming this message: the state is
-                    // exactly "everything through the previous message".
-                    // During the resume skip phase this never fires: the
-                    // restored boundary lies past every skipped message.
-                    next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
-                    seq_trace.event_dump(
-                        SpanKind::Checkpoint,
-                        "checkpoint",
-                        consumed as u32,
-                        last_ts,
-                    );
-                    on_checkpoint(PipelineCheckpoint {
-                        virtual_us: last_ts,
-                        next_checkpoint_us: next_cp,
-                        records: consumed,
-                        client_order: scheme.client_encoder().appearance_order(),
-                        file_order: scheme.file_encoder().appearance_order(),
-                    });
-                }
-                consumed += 1;
-                last_ts = d.ts.0;
-                if consumed <= skip {
-                    // Resume replay: this message was already written by
-                    // the interrupted run and its effects live in the
-                    // restored anonymiser state. Touch nothing.
-                    continue;
-                }
-                match d.direction {
-                    Direction::ToServer => {
-                        stats.to_server += 1;
-                        sink.to_server.inc();
-                    }
-                    Direction::FromServer => {
-                        stats.from_server += 1;
-                        sink.from_server.inc();
-                    }
-                }
-                let record = scheme.anonymize(d.ts.0, d.peer, &d.msg);
-                stats.records += 1;
-                sink.records.inc();
-                if record.msg.is_query() {
-                    stats.query_records += 1;
-                    sink.queries.inc();
-                }
-                on_record(record);
-            }
-            let depth = reorder.len() as i64;
-            sink.reorder_depth.set(depth);
-            if depth > sink.reorder_depth_hwm.get() {
-                sink.reorder_depth_hwm.set(depth);
-            }
-            seq_trace.service_end(&mut pt, depth as u32, last_ts, w0);
-        }
-
-        join_front(producer, handles, &mut stats);
-        count_reorder_holes(&mut stats, next_seq, registry);
+            opts,
+            trace_ctx.as_ref(),
+            emit,
+        )
     })
     // etwlint: allow(no-panic-hot-path): crossbeam scope() errs only when
     // a child panicked; re-raising is panic propagation.
@@ -791,6 +703,91 @@ struct ShardBatch {
     file_ids: Vec<FileId>,
 }
 
+impl ShardBatch {
+    fn with_capacity(records: usize) -> ShardBatch {
+        ShardBatch {
+            seq: 0,
+            msgs: Vec::with_capacity(records),
+            client_ids: Vec::new(),
+            file_ids: Vec::new(),
+        }
+    }
+}
+
+/// The writer tail's side of the reorder stage. Inside the reorder span
+/// the visit pass stages messages into batches of
+/// [`TailConfig::batch_records`], and the batches and checkpoint markers
+/// the span releases wait in `items`, in capture order. [`Outbox::send`]
+/// fans them out once the span has closed, so a blocked send is a
+/// channel stall, never reorder time. Dropping the outbox hangs up the
+/// shards and the assembler.
+struct Outbox {
+    cur: ShardBatch,
+    items: Vec<AsmItem>,
+    batch_seq: u64,
+    batch_records: usize,
+    pool: crossbeam::channel::Receiver<ShardBatch>,
+    /// Each shard's input queue, with its `anon.shard<i>.queue_depth`.
+    shards: Vec<(MeteredSender<Arc<ShardBatch>>, Gauge)>,
+    asm: MeteredSender<AsmItem>,
+}
+
+impl Outbox {
+    /// Runs the visit pass over `d` and stages it, closing the batch
+    /// once it is full.
+    fn push(&mut self, d: DecodedMsg) {
+        let cur = &mut self.cur;
+        collect_ids(d.peer, &d.msg, &mut cur.client_ids, &mut cur.file_ids);
+        cur.msgs.push(d);
+        if cur.msgs.len() >= self.batch_records {
+            self.close_batch();
+        }
+    }
+
+    /// Queues a checkpoint marker behind the staged run, so the cut
+    /// covers exactly the messages before it.
+    fn cut(&mut self, at: ResumePoint) {
+        self.close_batch();
+        self.items.push(AsmItem::Checkpoint(at));
+    }
+
+    /// Queues the staged run, if any, as the next numbered batch.
+    fn close_batch(&mut self) {
+        if self.cur.msgs.is_empty() {
+            return;
+        }
+        let mut next = self
+            .pool
+            .try_recv()
+            .unwrap_or_else(|| ShardBatch::with_capacity(self.batch_records));
+        next.msgs.clear();
+        next.client_ids.clear();
+        next.file_ids.clear();
+        let mut batch = std::mem::replace(&mut self.cur, next);
+        batch.seq = self.batch_seq;
+        self.batch_seq += 1;
+        self.items.push(AsmItem::Batch(Arc::new(batch)));
+    }
+
+    /// Sends the queued items in capture order: each batch to every
+    /// shard, then every batch and marker to the assembler. Returns
+    /// `false` once a receiver is gone.
+    fn send(&mut self) -> bool {
+        let (shards, asm) = (&self.shards, &self.asm);
+        self.items.drain(..).all(|item| {
+            if let AsmItem::Batch(batch) = &item {
+                for (tx, depth) in shards {
+                    if tx.send(Arc::clone(batch)).is_err() {
+                        return false;
+                    }
+                    depth.add(1);
+                }
+            }
+            asm.send(item).is_ok()
+        })
+    }
+}
+
 /// Sparse resolutions from one shard for one batch: `(index into the
 /// batch's id array, striped provisional)`.
 struct ShardResult {
@@ -811,11 +808,7 @@ enum AsmItem {
     /// A checkpoint cut; the assembler owns the appearance orders, so it
     /// fills them in and forwards the completed checkpoint down the
     /// ordered queues.
-    Checkpoint {
-        virtual_us: u64,
-        next_checkpoint_us: u64,
-        records: u64,
-    },
+    Checkpoint(ResumePoint),
 }
 
 /// [`run_capture_pipeline_with`] with the serial tail replaced by the
@@ -829,13 +822,12 @@ enum AsmItem {
 ///                 └──────────────────────► construct, seq)
 /// ```
 ///
-/// * The reorder stage restores capture order, counts consumed messages
-///   (checkpoint cuts, resume replay), runs the visit pass
-///   ([`collect_ids`]) while staging [`TailConfig::batch_records`]
-///   messages, and fans each batch out to the shard pool and the
-///   assembler. The fan-out runs mid-loop, inside the reorder span, so
-///   a blocked fan-out send counts as reorder service (and as a
-///   `chan.shard_in` / `chan.asm_in` stall).
+/// * The reorder stage, the serial tail's own, restores capture order,
+///   cuts checkpoints and consumes the resume prefix. Inside its span
+///   the tail runs the visit pass ([`collect_ids`]) while staging
+///   [`TailConfig::batch_records`] messages per batch, and queues the
+///   batches and cut markers in an outbox. Once the span has closed, it
+///   fans each batch out to the shard pool and the assembler.
 /// * [`TailConfig::anon_shards`] shard workers resolve the ids they own
 ///   to striped provisionals: clientIDs split by low id bits, fileIDs by
 ///   low bucket-index bits (see [`etw_anonymize::shard`]). One shard
@@ -856,11 +848,10 @@ enum AsmItem {
 ///   writer thread with [`DatasetWriter::bytes_written`] at exactly the
 ///   cut's offset.
 ///
-/// The shards, assembler and formatter time their own work only: the
-/// assembler opens its span once it holds every shard's result, and
-/// each closes its span before the downstream send and restarts the
-/// timer after it, so a blocked send shows only in
-/// `chan.<out>.stall_ns_total`.
+/// Every stage times its own work only: the assembler opens its span
+/// once it holds every shard's result, and each stage closes its span
+/// before the downstream send and restarts the timer after it, so a
+/// blocked send shows only in `chan.<out>.stall_ns_total`.
 ///
 /// Checkpoint cuts flush the staged run first, so the captured encoder
 /// state covers precisely "everything before the boundary message", as
@@ -903,28 +894,11 @@ where
         build_sharded(width_bits, selector, n_shards, &client_order, &file_order)
     };
 
-    let mut stats = PipelineStats::default();
-    if opts
-        .faults
-        .as_ref()
-        .is_some_and(|plan| plan.crash_every > 0)
-    {
-        silence_injected_crashes();
-    }
     let trace_ctx = opts
         .trace
         .as_ref()
         .map(|t| TraceCtx::new(t, n_workers, n_shards, registry));
-    let (writer, io_err, asm) = crossbeam::thread::scope(|scope| {
-        let (out_rx, producer, handles) = spawn_front(
-            scope,
-            frames,
-            n_workers,
-            registry,
-            opts.faults.clone(),
-            trace_ctx.clone(),
-        );
-
+    let (stats, writer, io_err, asm) = crossbeam::thread::scope(|scope| {
         // Tail plumbing. Metered, bounded work queues; unmetered bounded
         // pool channels flow emptied buffers back upstream so steady
         // state reuses the same allocations forever.
@@ -1098,25 +1072,19 @@ where
                         asm_trace.service_end(&mut pt, bseq as u32, last_us, w0);
                         failed = fmt_tx.send(FormatItem::Batch(recs)).is_err();
                     }
-                    AsmItem::Checkpoint {
-                        virtual_us,
-                        next_checkpoint_us,
-                        records,
-                    } => {
+                    AsmItem::Checkpoint(at) => {
                         if failed {
                             continue;
                         }
                         let w0 = asm_trace.service_begin(&mut pt);
-                        let cp = PipelineCheckpoint {
-                            virtual_us,
-                            next_checkpoint_us,
-                            records,
+                        let cp = PipelineCheckpoint::at(
+                            at,
                             // etwlint: allow(no-alloc-hot-loop): checkpoint cut — runs once per interval, not per record
-                            client_order: asm.client_order().to_vec(),
+                            asm.client_order().to_vec(),
                             // etwlint: allow(no-alloc-hot-loop): checkpoint cut, as above
-                            file_order: asm.file_order().to_vec(),
-                        };
-                        asm_trace.service_end(&mut pt, records as u32, virtual_us, w0);
+                            asm.file_order().to_vec(),
+                        );
+                        asm_trace.service_end(&mut pt, at.records as u32, at.virtual_us, w0);
                         failed = fmt_tx.send(FormatItem::Checkpoint(cp)).is_err();
                     }
                 }
@@ -1125,161 +1093,44 @@ where
             asm
         });
 
-        // Sequential stage: restore capture order, run the visit pass
-        // while staging, fan out batches.
-        let seq_trace = StageTrace::new(
+        // Inside the reorder span the visit pass fills the outbox; the
+        // fan-out waits for the span to close.
+        let mut outbox = Outbox {
+            cur: ShardBatch::with_capacity(tail.batch_records),
+            items: Vec::new(),
+            batch_seq: 0,
+            batch_records: tail.batch_records,
+            pool: batch_pool_rx,
+            shards: shard_txs,
+            asm: asm_tx,
+        };
+        let emit = |step: Step| {
+            match step {
+                Step::Cut(at) => outbox.cut(at),
+                Step::Msg(d) => outbox.push(d),
+                Step::SpanClosed => return outbox.send(),
+            }
+            true
+        };
+        let (mut stats, live) = run_front(
+            scope,
+            frames,
+            n_workers,
             registry,
-            StageId::Reorder,
-            trace_ctx.as_ref().map(|c| c.lane(lane_seq(n_workers), 0)),
+            opts,
+            trace_ctx.as_ref(),
+            emit,
         );
-        let sink = SinkTelemetry::new(registry);
-        let cp_interval = opts.checkpoint_interval_us;
-        let (skip, mut last_ts, mut next_cp) = match &opts.resume {
-            Some(r) => (r.records, r.virtual_us, r.next_checkpoint_us),
-            None => (0, 0, cp_interval),
-        };
-        let mut consumed = 0u64;
-        let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let fresh_batch = || ShardBatch {
-            seq: 0,
-            msgs: Vec::with_capacity(tail.batch_records),
-            client_ids: Vec::new(),
-            file_ids: Vec::new(),
-        };
-        let mut cur = fresh_batch();
-        let mut batch_seq = 0u64;
-        let mut queries = 0u64;
-        let mut dirs = (0u64, 0u64);
-        let mut tail_failed = false;
-        // Stages the current run: account it, stamp its sequence number
-        // and fan it out to every shard plus the assembler.
-        let flush = |cur: &mut ShardBatch,
-                     queries: &mut u64,
-                     dirs: &mut (u64, u64),
-                     batch_seq: &mut u64,
-                     stats: &mut PipelineStats|
-         -> bool {
-            if cur.msgs.is_empty() {
-                return true;
-            }
-            let records = cur.msgs.len() as u64;
-            stats.records += records;
-            stats.query_records += *queries;
-            stats.to_server += dirs.0;
-            stats.from_server += dirs.1;
-            sink.records.add(records);
-            sink.queries.add(*queries);
-            sink.to_server.add(dirs.0);
-            sink.from_server.add(dirs.1);
-            *queries = 0;
-            *dirs = (0, 0);
-            cur.seq = *batch_seq;
-            *batch_seq += 1;
-            let mut next = batch_pool_rx.try_recv().unwrap_or_else(&fresh_batch);
-            next.msgs.clear();
-            next.client_ids.clear();
-            next.file_ids.clear();
-            let arc = std::sync::Arc::new(std::mem::replace(cur, next));
-            for (tx, depth) in &shard_txs {
-                if tx.send(arc.clone()).is_err() {
-                    return false;
-                }
-                depth.add(1);
-            }
-            asm_tx.send(AsmItem::Batch(arc)).is_ok()
-        };
-        let mut pt = seq_trace.begin();
-        while let Ok(batch) = out_rx.recv() {
-            let w0 = seq_trace.service_begin(&mut pt);
-            for (seq, decoded) in batch {
-                reorder.insert(seq, decoded);
-            }
-            while let Some(decoded) = reorder.remove(&next_seq) {
-                next_seq += 1;
-                let Some(d) = decoded else { continue };
-                if cp_interval > 0 && d.ts.0 >= next_cp {
-                    // Cut *before* consuming this message, staged run
-                    // flushed first — exactly as the serial tail. The
-                    // assembler completes the marker with the orders.
-                    next_cp = (d.ts.0 / cp_interval + 1) * cp_interval;
-                    seq_trace.event_dump(
-                        SpanKind::Checkpoint,
-                        "checkpoint",
-                        consumed as u32,
-                        last_ts,
-                    );
-                    if !tail_failed {
-                        tail_failed = !flush(
-                            &mut cur,
-                            &mut queries,
-                            &mut dirs,
-                            &mut batch_seq,
-                            &mut stats,
-                        );
-                    }
-                    if !tail_failed {
-                        tail_failed = asm_tx
-                            .send(AsmItem::Checkpoint {
-                                virtual_us: last_ts,
-                                next_checkpoint_us: next_cp,
-                                records: consumed,
-                            })
-                            .is_err();
-                    }
-                }
-                consumed += 1;
-                last_ts = d.ts.0;
-                if consumed <= skip {
-                    // Resume replay: already written by the interrupted
-                    // run; its effects live in the restored state.
-                    continue;
-                }
-                if tail_failed {
-                    // Tail is gone: keep consuming so the decode front
-                    // drains instead of deadlocking the producer.
-                    continue;
-                }
-                match d.direction {
-                    Direction::ToServer => dirs.0 += 1,
-                    Direction::FromServer => dirs.1 += 1,
-                }
-                queries += u64::from(d.msg.is_client_to_server());
-                collect_ids(d.peer, &d.msg, &mut cur.client_ids, &mut cur.file_ids);
-                cur.msgs.push(d);
-                if cur.msgs.len() >= tail.batch_records {
-                    tail_failed = !flush(
-                        &mut cur,
-                        &mut queries,
-                        &mut dirs,
-                        &mut batch_seq,
-                        &mut stats,
-                    );
-                }
-            }
-            let depth = reorder.len() as i64;
-            sink.reorder_depth.set(depth);
-            if depth > sink.reorder_depth_hwm.get() {
-                sink.reorder_depth_hwm.set(depth);
-            }
-            seq_trace.service_end(&mut pt, depth as u32, last_ts, w0);
+        if live {
+            // The final partial batch.
+            outbox.close_batch();
+            outbox.send();
         }
-        if !tail_failed {
-            // Final partial batch.
-            flush(
-                &mut cur,
-                &mut queries,
-                &mut dirs,
-                &mut batch_seq,
-                &mut stats,
-            );
-        }
-        drop(shard_txs);
-        drop(asm_tx);
+        drop(outbox);
 
         // Shutdown order follows the data: shards, assembler, formatter,
-        // writer, then the front. The shards own disjoint buckets, so
-        // their probe ledgers sum to the serial encoder's.
+        // writer. The shards own disjoint buckets, so their probe
+        // ledgers sum to the serial encoder's.
         for h in shard_handles {
             // etwlint: allow(no-panic-hot-path): join() only errs when
             // the joined thread panicked; re-raising is panic
@@ -1293,9 +1144,7 @@ where
         formatter.join().expect("formatter panicked");
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
         let (w, io_err) = writer_thread.join().expect("writer panicked");
-        join_front(producer, handles, &mut stats);
-        count_reorder_holes(&mut stats, next_seq, registry);
-        (w, io_err, asm)
+        (stats, w, io_err, asm)
     })
     // etwlint: allow(no-panic-hot-path): crossbeam scope() errs only when
     // a child panicked; re-raising is panic propagation.
@@ -1312,54 +1161,144 @@ where
     }
 }
 
-/// Spawns the parallel front of the pipeline — the routing producer and
-/// the decode workers — into `scope`, wiring shared stage telemetry.
-/// Returns the sequenced worker-output channel plus the join handles:
-/// the producer yields `(frames_routed, frames_shed)`, each worker its
-/// accumulated [`WorkerStats`]. Both the serial tail and the writer tail
-/// sit downstream of this same front, so fault injection, shedding and
-/// sequence assignment behave identically in the two.
-type FrontHandles<'scope> = (
-    MeteredReceiver<Vec<WorkerStep>>,
-    crossbeam::thread::ScopedJoinHandle<'scope, (u64, u64)>,
-    Vec<crossbeam::thread::ScopedJoinHandle<'scope, WorkerStats>>,
-);
-
-/// Joins the front spawned by [`spawn_front`] — the producer, then
-/// every decode worker — and folds their counters into `stats`.
-fn join_front(
-    producer: crossbeam::thread::ScopedJoinHandle<'_, (u64, u64)>,
-    handles: Vec<crossbeam::thread::ScopedJoinHandle<'_, WorkerStats>>,
-    stats: &mut PipelineStats,
-) {
-    // etwlint: allow(no-panic-hot-path): join() only errs when the
-    // joined thread panicked; re-raising is panic propagation, not a
-    // new failure mode.
-    (stats.frames, stats.shed) = producer.join().expect("producer panicked");
-    for h in handles {
-        // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        let w = h.join().expect("worker panicked");
-        stats.not_udp += w.not_udp;
-        stats.other_port += w.other_port;
-        stats.parse_errors += w.parse_errors;
-        stats.udp_datagrams += w.udp_datagrams;
-        stats.fragmented_datagrams += w.fragmented_datagrams;
-        stats.decoder.merge(&w.decoder);
-        merge_reassembly(&mut stats.reassembly, &w.reassembly);
-    }
+/// What the reorder stage hands its tail, in capture order.
+enum Step {
+    /// A checkpoint cut: the tail's state covers exactly the messages
+    /// handed on before this step.
+    Cut(ResumePoint),
+    /// The next message past the resume point.
+    Msg(DecodedMsg),
+    /// The reorder span has closed: what the tail does now, such as the
+    /// writer tail's fan-out, is neither the stage's service nor its
+    /// queue wait.
+    SpanClosed,
 }
 
-fn spawn_front<'scope, 'env, I>(
+/// The reorder stage both tails share, run on the calling thread. It
+/// restores sequence order over the decode front's batches, cuts each
+/// checkpoint before the first message at or past its boundary,
+/// consumes the resume prefix (the first `ResumePoint::records`
+/// messages) without handing it on, and keeps the sink ledgers (`stats`
+/// and `stage.sink.*`) and the `stage.reorder.depth*` gauges, published
+/// once per span. `emit` returns `false` once the tail's downstream is
+/// gone: the stage then keeps draining, so the decode front never
+/// deadlocks, but hands nothing further on. Returns the sequence steps
+/// drained and whether the downstream is still live.
+fn reorder_stage(
+    batches: impl IntoIterator<Item = Vec<WorkerStep>>,
+    registry: &Registry,
+    opts: &PipelineOptions,
+    lane: Option<TraceLane>,
+    stats: &mut PipelineStats,
+    mut emit: impl FnMut(Step) -> bool,
+) -> (u64, bool) {
+    let trace = StageTrace::new(registry, StageId::Reorder, lane);
+    let depth = registry.gauge("stage.reorder.depth");
+    let depth_hwm = registry.gauge("stage.reorder.depth_hwm");
+    let sink = [
+        registry.counter("stage.sink.records_total"),
+        registry.counter("stage.sink.queries_total"),
+        registry.counter("stage.sink.to_server_total"),
+        registry.counter("stage.sink.from_server_total"),
+    ];
+    let ledger = |s: &PipelineStats| [s.records, s.query_records, s.to_server, s.from_server];
+    let mut published = ledger(stats);
+    let interval = opts.checkpoint_interval_us;
+    let (skip, mut last_ts, mut next_cp) = match &opts.resume {
+        Some(r) => (r.records, r.virtual_us, r.next_checkpoint_us),
+        None => (0, 0, interval),
+    };
+    // Messages consumed since *stream* start, skipped ones included,
+    // so checkpoint record counts agree between full and resumed runs.
+    let mut consumed = 0u64;
+    let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
+    let mut next_seq = 0u64;
+    let mut live = true;
+    let mut pt = trace.begin();
+    for batch in batches {
+        let w0 = trace.service_begin(&mut pt);
+        for (seq, decoded) in batch {
+            reorder.insert(seq, decoded);
+        }
+        while let Some(decoded) = reorder.remove(&next_seq) {
+            next_seq += 1;
+            let Some(d) = decoded else { continue };
+            if interval > 0 && d.ts.0 >= next_cp {
+                // Cut *before* consuming this message: the state is
+                // exactly "everything through the previous message".
+                // During the resume skip phase this never fires: the
+                // restored boundary lies past every skipped message.
+                next_cp = (d.ts.0 / interval + 1) * interval;
+                trace.event_dump(SpanKind::Checkpoint, "checkpoint", consumed as u32, last_ts);
+                if live {
+                    live = emit(Step::Cut(ResumePoint {
+                        records: consumed,
+                        virtual_us: last_ts,
+                        next_checkpoint_us: next_cp,
+                    }));
+                }
+            }
+            consumed += 1;
+            last_ts = d.ts.0;
+            // Resume replay: the interrupted run already wrote this
+            // message, and its effects live in the restored anonymiser
+            // state. A tail whose downstream is gone gets nothing more.
+            if consumed <= skip || !live {
+                continue;
+            }
+            stats.records += 1;
+            stats.query_records += u64::from(d.msg.is_client_to_server());
+            match d.direction {
+                Direction::ToServer => stats.to_server += 1,
+                Direction::FromServer => stats.from_server += 1,
+            }
+            live = emit(Step::Msg(d));
+        }
+        let now = ledger(stats);
+        for (i, counter) in sink.iter().enumerate() {
+            counter.add(now[i] - published[i]);
+        }
+        published = now;
+        let held = reorder.len() as i64;
+        depth.set(held);
+        if held > depth_hwm.get() {
+            depth_hwm.set(held);
+        }
+        trace.service_end(&mut pt, held as u32, last_ts, w0);
+        if live {
+            live = emit(Step::SpanClosed);
+        }
+        pt = trace.begin();
+    }
+    (next_seq, live)
+}
+
+/// The one way both tails reach the decode front. Spawns the routing
+/// producer and the decode workers into `scope`, runs [`reorder_stage`]
+/// over their output into `emit` on the calling thread, then joins the
+/// front and counts the reorder holes. Fault injection, shedding and
+/// sequence assignment therefore behave identically in the two tails.
+/// Returns the pipeline statistics, all but the tail's probe ledger,
+/// and whether the tail's downstream is still live.
+fn run_front<'scope, 'env, I>(
     scope: &crossbeam::thread::Scope<'scope, 'env>,
     frames: I,
     n_workers: usize,
     registry: &Registry,
-    faults: Option<WorkerFaultPlan>,
-    trace_ctx: Option<Arc<TraceCtx>>,
-) -> FrontHandles<'scope>
+    opts: &PipelineOptions,
+    trace_ctx: Option<&Arc<TraceCtx>>,
+    emit: impl FnMut(Step) -> bool,
+) -> (PipelineStats, bool)
 where
     I: Iterator<Item = TimedFrame> + Send + 'scope,
 {
+    if opts
+        .faults
+        .as_ref()
+        .is_some_and(|plan| plan.crash_every > 0)
+    {
+        silence_injected_crashes();
+    }
     let (out_tx, out_rx) =
         metered_bounded::<Vec<WorkerStep>>(2 * FRAME_QUEUE, registry, "decode_out");
     let mut worker_txs = Vec::with_capacity(n_workers);
@@ -1383,11 +1322,10 @@ where
         let trace = StageTrace::new(
             registry,
             StageId::Decode,
-            trace_ctx
-                .as_ref()
-                .map(|c| c.lane(lane_decode(windex), windex as u16)),
+            trace_ctx.map(|c| c.lane(lane_decode(windex), windex as u16)),
         );
-        let supervision = faults
+        let supervision = opts
+            .faults
             .clone()
             .map(|plan| (windex, plan, fault_telemetry.clone()));
         handles.push(scope.spawn(move |_| worker_loop(rx, out_tx, frames, trace, supervision)));
@@ -1401,8 +1339,8 @@ where
     // on the (deterministic) frame stream, never on queue timing.
     let produced = registry.counter("stage.producer.frames_total");
     let shed = registry.counter("pipeline.shed_total");
-    let producer_lane = trace_ctx.as_ref().map(|c| c.lane(0, 0));
-    let producer_plan = faults;
+    let producer_lane = trace_ctx.map(|c| c.lane(0, 0));
+    let producer_plan = opts.faults.clone();
     let producer = scope.spawn(move |_| {
         let mut seq = 0u64;
         let mut offered = 0u64;
@@ -1468,7 +1406,26 @@ where
         (seq, shed_count)
     });
 
-    (out_rx, producer, handles)
+    let mut stats = PipelineStats::default();
+    let lane = trace_ctx.map(|c| c.lane(lane_seq(n_workers), 0));
+    let (drained, live) = reorder_stage(&out_rx, registry, opts, lane, &mut stats, emit);
+    // etwlint: allow(no-panic-hot-path): join() only errs when the
+    // joined thread panicked; re-raising is panic propagation, not a
+    // new failure mode.
+    (stats.frames, stats.shed) = producer.join().expect("producer panicked");
+    for h in handles {
+        // etwlint: allow(no-panic-hot-path): panic propagation, as above
+        let w = h.join().expect("worker panicked");
+        stats.not_udp += w.not_udp;
+        stats.other_port += w.other_port;
+        stats.parse_errors += w.parse_errors;
+        stats.udp_datagrams += w.udp_datagrams;
+        stats.fragmented_datagrams += w.fragmented_datagrams;
+        stats.decoder.merge(&w.decoder);
+        merge_reassembly(&mut stats.reassembly, &w.reassembly);
+    }
+    count_reorder_holes(&mut stats, drained, registry);
+    (stats, live)
 }
 
 /// Keep injected worker crashes out of stderr: they are scheduled fault
@@ -1690,9 +1647,10 @@ fn merge_reassembly(a: &mut ReassemblyStats, b: &ReassemblyStats) {
     a.duplicates += b.duplicates;
 }
 
-/// Sets `stats.reorder_holes` once [`join_front`] has filled
-/// `stats.frames`: the producer issued one sequence step per routed
-/// frame, and the reorder stage drained the first `next_seq` of them.
+/// Sets `stats.reorder_holes` once [`run_front`] has joined the
+/// producer into `stats.frames`: the producer issued one sequence step
+/// per routed frame, and the reorder stage drained the first `next_seq`
+/// of them.
 /// Every step past that never reached the anonymiser, whether it went
 /// missing or sat stranded behind one that did. Counted into
 /// `pipeline.reorder.holes_total` rather than asserted, so release
@@ -2446,6 +2404,110 @@ mod tests {
             assembler < fmt_stalls / 2,
             "assembler booked {assembler} ns against {fmt_stalls} ns stalled on fmt_in"
         );
+    }
+
+    #[test]
+    fn blocked_fan_out_is_a_channel_stall_not_reorder_time() {
+        // The slow disk backs the tail up to the reorder stage, whose
+        // fan-out blocks on shard_in and asm_in. The reorder span has
+        // closed before those sends, so the time is the channels'.
+        let registry = Registry::new();
+        let tail = TailConfig {
+            batch_records: 8,
+            batch_queue: 1,
+            anon_shards: 1,
+        };
+        let writer = DatasetWriter::new(SlowWrite).unwrap();
+        let frames = frames_for(&mixed_msgs(200)).into_iter();
+        let opts = PipelineOptions::default();
+        let scheme = PaperScheme::paper(16);
+        run_capture_pipeline_batched(frames, 2, scheme, &registry, &opts, tail, writer, |_, _| {})
+            .unwrap();
+        let snap = registry.snapshot();
+        let stalled = snap.counter("chan.shard_in.stall_ns_total")
+            + snap.counter("chan.asm_in.stall_ns_total");
+        assert!(stalled > 10_000_000, "fan-out stalled {stalled} ns");
+        let reorder = snap.histogram("stage.reorder.latency_ns").unwrap().sum;
+        assert!(
+            reorder < stalled / 2,
+            "reorder booked {reorder} ns against {stalled} ns stalled on its fan-out"
+        );
+    }
+
+    #[test]
+    fn reorder_drains_the_front_after_the_downstream_is_gone() {
+        // 60 sequence steps, every third one a tombstone, the rest one
+        // message per virtual second; a cut every 10 s.
+        let steps: Vec<WorkerStep> = (0..60u64)
+            .map(|seq| {
+                let msg = (seq % 3 != 2).then(|| DecodedMsg {
+                    ts: VirtualTime::from_secs(seq),
+                    peer: ClientId(seq as u32),
+                    direction: Direction::ToServer,
+                    msg: Message::StatusRequest {
+                        challenge: seq as u32,
+                    },
+                });
+                (seq, msg)
+            })
+            .collect();
+        let batches: Vec<Vec<WorkerStep>> = steps.chunks(7).map(<[_]>::to_vec).collect();
+        let opts = PipelineOptions {
+            checkpoint_interval_us: 10_000_000,
+            ..PipelineOptions::default()
+        };
+        // The 14th message is at 19 s; the cut at 20 s comes next.
+        const K: u64 = 14;
+        let run = |arrivals: Vec<Vec<WorkerStep>>| {
+            let registry = Registry::new();
+            let mut stats = PipelineStats {
+                frames: steps.len() as u64,
+                ..PipelineStats::default()
+            };
+            // Steps handed on: ('c', records) per cut, ('m', seconds) per
+            // message, ('s', 0) per closed span.
+            let mut handed = Vec::new();
+            let mut msgs = 0;
+            let (drained, live) =
+                reorder_stage(arrivals, &registry, &opts, None, &mut stats, |step| {
+                    match step {
+                        Step::Cut(at) => handed.push(('c', at.records)),
+                        Step::Msg(d) => {
+                            msgs += 1;
+                            handed.push(('m', d.ts.as_secs()));
+                        }
+                        Step::SpanClosed => handed.push(('s', 0)),
+                    }
+                    msgs < K
+                });
+            assert!(!live);
+            count_reorder_holes(&mut stats, drained, &registry);
+            assert_eq!(stats.reorder_holes, 0, "every sequence step drained");
+            assert_eq!(
+                handed.last(),
+                Some(&('m', 19)),
+                "handed on after message {K}"
+            );
+            // The one cut handed on, at 10 s, follows seven messages.
+            let cuts: Vec<_> = handed.iter().filter(|s| s.0 == 'c').collect();
+            assert_eq!(cuts, [&('c', 7)]);
+            assert_eq!(stats.records, K);
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("stage.sink.records_total"), K);
+            assert_eq!(snap.gauge("stage.reorder.depth"), 0);
+            handed.retain(|s| s.0 != 's');
+            handed
+        };
+        // Two arrival orders, neither in sequence order.
+        let reversed: Vec<_> = batches.iter().rev().cloned().collect();
+        let odd_then_even: Vec<_> = batches
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .chain(batches.iter().step_by(2))
+            .cloned()
+            .collect();
+        assert_eq!(run(reversed), run(odd_then_even));
     }
 
     #[test]

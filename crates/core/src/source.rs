@@ -50,14 +50,13 @@ use etw_netsim::clock::VirtualTime;
 use etw_server::index::tokenize;
 use etw_server::shard::{shard_of, SearchHit, ShardIndex, SlotKey};
 use etw_telemetry::channel::{metered_bounded, MeteredReceiver, MeteredSender};
-use etw_telemetry::health::HealthRecorder;
+use etw_telemetry::health::{HealthRecorder, HealthSeries};
 use etw_telemetry::{Counter, Gauge, Registry};
 use etw_workload::catalog::Catalog;
 use etw_workload::clients::Population;
 use etw_workload::session::{
     MgmtOp, NoiseDraws, SessionShard, SourceBlobs, SrcEvent, SrcOp, WireParams,
 };
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -507,7 +506,6 @@ pub struct SourceStream {
     desc_answer: Vec<u8>,
     merge_buf: Vec<SearchHit>,
     stats: CaptureSide,
-    stats_out: Arc<Mutex<CaptureSide>>,
     queries_ctr: Counter,
     answers_ctr: Counter,
     queries_delta: u64,
@@ -515,9 +513,7 @@ pub struct SourceStream {
     virtual_secs_gauge: Gauge,
     last_tick_sec: u64,
     last_virtual_us: u64,
-    finished: bool,
     health: Option<HealthRecorder>,
-    health_out: Arc<Mutex<Option<(HealthRecorder, u64)>>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -525,17 +521,16 @@ impl SourceStream {
     /// Spawns the front-end fleet (`S` generators, `S` index shards, the
     /// merger) and returns the sequential assembler as a frame iterator.
     /// `config.source.source_shards` picks `S`; the produced frames are
-    /// byte-identical for every valid `S`.
-    #[allow(clippy::too_many_arguments)]
+    /// byte-identical for every valid `S`. Once the consumer has drained
+    /// it, [`SourceStream::finish`] hands back the capture ledger and the
+    /// health series.
     pub(crate) fn spawn(
         catalog: Arc<Catalog>,
         population: Arc<Population>,
         config: &CampaignConfig,
         registry: &Registry,
         capture: CaptureBuffer,
-        stats_out: Arc<Mutex<CaptureSide>>,
         health: Option<HealthRecorder>,
-        health_out: Arc<Mutex<Option<(HealthRecorder, u64)>>>,
     ) -> SourceStream {
         let shards = config.source.source_shards.max(1);
         let blobs = Arc::new(SourceBlobs::build(&catalog));
@@ -627,7 +622,6 @@ impl SourceStream {
             desc_answer: build_desc_answer(),
             merge_buf: Vec::new(),
             stats: CaptureSide::default(),
-            stats_out,
             queries_ctr: registry.counter("campaign.queries_total"),
             answers_ctr: registry.counter("campaign.answers_total"),
             queries_delta: 0,
@@ -635,9 +629,7 @@ impl SourceStream {
             virtual_secs_gauge: registry.gauge("campaign.virtual_secs"),
             last_tick_sec: 0,
             last_virtual_us: 0,
-            finished: false,
             health,
-            health_out,
             threads,
         }
     }
@@ -857,19 +849,17 @@ impl SourceStream {
         }
     }
 
-    fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
+    /// Finishes the stream once its consumer has drained it and hands
+    /// back the capture ledger and the health series. The final health
+    /// record is cut now, after the sink has drained, so its snapshot
+    /// agrees with the run's totals.
+    pub(crate) fn finish(mut self) -> (CaptureSide, HealthSeries) {
         self.loss_recorder.tick(self.last_tick_sec, &self.capture);
         self.capture.sample_telemetry();
         self.flush_counters();
-        self.stats.losses_per_sec = self.loss_recorder.losses_per_sec.clone();
-        *self.stats_out.lock() = std::mem::take(&mut self.stats);
-        if let Some(h) = self.health.take() {
-            *self.health_out.lock() = Some((h, self.last_virtual_us));
-        }
+        self.stats.losses_per_sec = std::mem::take(&mut self.loss_recorder.losses_per_sec);
+        let health = self.health.take().map(|h| h.finish(self.last_virtual_us));
+        (std::mem::take(&mut self.stats), health.unwrap_or_default())
     }
 }
 
@@ -900,13 +890,8 @@ impl Iterator for SourceStream {
             if let Some(f) = self.pending.pop_front() {
                 return Some(f);
             }
-            match self.next_manifest() {
-                Some(m) => self.process(m),
-                None => {
-                    self.finish();
-                    return None;
-                }
-            }
+            let m = self.next_manifest()?;
+            self.process(m);
         }
     }
 }
@@ -934,25 +919,9 @@ pub fn run_source_only(config: &CampaignConfig, registry: &Registry) -> (Capture
     let population = Arc::new(Population::generate(&config.population, config.seed ^ 2));
     let mut capture = CaptureBuffer::new(config.capture_ring, config.capture_drain_pps);
     capture.attach_telemetry(registry);
-    let stats = Arc::new(Mutex::new(CaptureSide::default()));
-    let health_out = Arc::new(Mutex::new(None));
-    let mut stream = SourceStream::spawn(
-        catalog,
-        population,
-        config,
-        registry,
-        capture,
-        Arc::clone(&stats),
-        None,
-        health_out,
-    );
-    let mut bytes = 0u64;
-    for f in &mut stream {
-        bytes += f.bytes.len() as u64;
-    }
-    drop(stream);
-    let side = std::mem::take(&mut *stats.lock());
-    (side, bytes)
+    let mut stream = SourceStream::spawn(catalog, population, config, registry, capture, None);
+    let bytes = (&mut stream).map(|f| f.bytes.len() as u64).sum();
+    (stream.finish().0, bytes)
 }
 
 #[cfg(test)]
@@ -967,22 +936,10 @@ mod tests {
         let catalog = Arc::new(Catalog::generate(&config.catalog, config.seed ^ 1));
         let population = Arc::new(Population::generate(&config.population, config.seed ^ 2));
         let capture = CaptureBuffer::new(config.capture_ring, config.capture_drain_pps);
-        let stats = Arc::new(Mutex::new(CaptureSide::default()));
-        let health_out = Arc::new(Mutex::new(None));
-        let mut stream = SourceStream::spawn(
-            catalog,
-            population,
-            config,
-            &Registry::disabled(),
-            capture,
-            Arc::clone(&stats),
-            None,
-            health_out,
-        );
+        let registry = Registry::disabled();
+        let mut stream = SourceStream::spawn(catalog, population, config, &registry, capture, None);
         let frames: Vec<TimedFrame> = (&mut stream).collect();
-        drop(stream);
-        let side = std::mem::take(&mut *stats.lock());
-        (frames, side)
+        (frames, stream.finish().0)
     }
 
     fn quiet_config(shards: usize) -> CampaignConfig {
@@ -1125,18 +1082,9 @@ mod tests {
         let catalog = Arc::new(Catalog::generate(&config.catalog, config.seed ^ 1));
         let population = Arc::new(Population::generate(&config.population, config.seed ^ 2));
         let capture = CaptureBuffer::new(config.capture_ring, config.capture_drain_pps);
-        let stats = Arc::new(Mutex::new(CaptureSide::default()));
-        let health_out = Arc::new(Mutex::new(None));
-        let mut stream = SourceStream::spawn(
-            catalog,
-            population,
-            &config,
-            &Registry::disabled(),
-            capture,
-            stats,
-            None,
-            health_out,
-        );
+        let registry = Registry::disabled();
+        let mut stream =
+            SourceStream::spawn(catalog, population, &config, &registry, capture, None);
         // Take a handful of frames, then drop mid-campaign: Drop must
         // disconnect and join every worker without deadlocking.
         for _ in 0..100 {

@@ -579,11 +579,14 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
 
 /// The `--top` dashboard: one row per pipeline stage, driven entirely
 /// by the `stage.<name>.latency_ns` / `queue_wait_ns` histograms the
-/// stage-span layer maintains, plus the input-queue depth gauges.
-/// `util‰` is the stage's service share of the refresh window,
-/// `Δlatency.sum / (Δlatency.sum + Δqueue_wait.sum)`; time blocked on a
-/// full output channel is in neither sum. Stages that have not run yet
-/// (e.g. the shard pool before its first batch) are omitted.
+/// stage-span layer maintains, the `chan.<out>.stall_ns_total` counters
+/// of each stage's output channels, and the input-queue depth gauges.
+/// Time blocked on a full output channel is in neither histogram sum,
+/// so service, queue wait and stall tile a stage's window: `util‰` is
+/// `Δlatency.sum` and `stall‰` is `Δstall_ns_total`, each over
+/// `Δlatency.sum + Δqueue_wait.sum + Δstall_ns_total`. Stages that have
+/// not run yet (e.g. the shard pool before its first batch) are
+/// omitted.
 fn print_top(
     snap: &Snapshot,
     prev: &Snapshot,
@@ -609,17 +612,24 @@ fn print_top(
     );
     println!("   thr {}", sparkline(spark));
     println!(
-        "   {:<9} {:>9} {:>6} {:>9} {:>9} {:>9} {:>5}",
-        "stage", "ops/s", "util\u{2030}", "p50 \u{b5}s", "p99 \u{b5}s", "wait99\u{b5}s", "q"
+        "   {:<9} {:>9} {:>6} {:>6} {:>9} {:>9} {:>9} {:>5}",
+        "stage",
+        "ops/s",
+        "util\u{2030}",
+        "stall\u{2030}",
+        "p50 \u{b5}s",
+        "p99 \u{b5}s",
+        "wait99\u{b5}s",
+        "q"
     );
-    // (stage, its input-queue depth gauge)
-    for (stage, queue) in [
-        ("decode", "chan.decode_in.depth"),
-        ("reorder", "chan.decode_out.depth"),
-        ("shard", "chan.shard_in.depth"),
-        ("assemble", "chan.asm_in.depth"),
-        ("format", "chan.fmt_in.depth"),
-        ("write", "chan.write_in.depth"),
+    // (stage, its input-queue depth gauge, the channels it sends into)
+    for (stage, queue, outputs) in [
+        ("decode", "chan.decode_in.depth", &["decode_out"][..]),
+        ("reorder", "chan.decode_out.depth", &["shard_in", "asm_in"]),
+        ("shard", "chan.shard_in.depth", &["shard_out"]),
+        ("assemble", "chan.asm_in.depth", &["fmt_in"]),
+        ("format", "chan.fmt_in.depth", &["write_in"]),
+        ("write", "chan.write_in.depth", &[]),
     ] {
         let lat_name = format!("stage.{stage}.latency_ns");
         let wait_name = format!("stage.{stage}.queue_wait_ns");
@@ -632,12 +642,18 @@ fn print_top(
             / refresh_ms.max(1) as f64;
         let busy = lat.sum - prev_lat.map_or(0, |h| h.sum);
         let idle = wait.sum - prev_wait.map_or(0, |h| h.sum);
-        let util = busy.saturating_mul(1000).checked_div(busy + idle);
+        let stalled: u64 = outputs
+            .iter()
+            .map(|c| snap.counter_delta(prev, &format!("chan.{c}.stall_ns_total")))
+            .sum();
+        let window = busy + idle + stalled;
+        let permille = |ns: u64| ns.saturating_mul(1000).checked_div(window).unwrap_or(0);
         println!(
-            "   {:<9} {:>9.0} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>5}",
+            "   {:<9} {:>9.0} {:>6} {:>6} {:>9.1} {:>9.1} {:>9.1} {:>5}",
             stage,
             ops,
-            util.unwrap_or(0),
+            permille(busy),
+            permille(stalled),
             lat.quantile(0.50) as f64 / 1e3,
             lat.quantile(0.99) as f64 / 1e3,
             wait.quantile(0.99) as f64 / 1e3,

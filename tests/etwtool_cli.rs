@@ -152,3 +152,18 @@ fn spec_prints_grammar() {
     assert!(text.contains("etw-1.0 dataset specification"));
     assert!(text.contains("<dialog"));
 }
+
+#[test]
+fn monitor_top_shows_blocked_on_downstream() {
+    let out = etwtool()
+        .args(["monitor", "--tiny", "--top", "--refresh-ms", "50"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("stall\u{2030}"), "{text}");
+    assert!(
+        text.lines().any(|l| l.trim_start().starts_with("reorder ")),
+        "{text}"
+    );
+}
