@@ -1,8 +1,8 @@
 //! Allocation-counting global allocator for the benchmark harness.
 //!
 //! The batched capture tail claims *zero steady-state heap allocations
-//! per record* (ISSUE: the formatter renders into recycled buffers with
-//! the zero-alloc encoder). Claims like that rot silently — an innocent
+//! per record* (its write stage encodes into one reused buffer with the
+//! zero-alloc encoder). Claims like that rot silently — an innocent
 //! `format!` in a hot loop brings the allocator right back — so `repro
 //! bench` measures it instead of trusting it: the binary installs
 //! [`CountingAllocator`] as its `#[global_allocator]` and the tail-only

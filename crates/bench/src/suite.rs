@@ -180,14 +180,15 @@ pub fn run_suite(opts: &SuiteOptions) -> BenchReport {
     // timeslice, so on a busy single-core host any one pass can eat a
     // preemption and read half its true rate. They are cheap enough to
     // always run best-of-9: one clean window is all the measurement
-    // needs, and the 2× gate must not flake in CI.
+    // needs, and the MIN_TAIL_SPEEDUP (1.7×) gate must not flake in CI.
     for result in bench_tail(&corpus, reps.max(9)) {
         eprintln!("  {}", describe(&result));
         report.results.push(result);
     }
 
     // Anonymise-only passes are ~10 ms too; same best-of-9 rationale so
-    // the 1.5× shard gate never reads a preempted pass.
+    // the MIN_ANON_SHARD_SPEEDUP (1.25×) gate never reads a preempted
+    // pass.
     for result in bench_anonymize(if opts.smoke { 30_000 } else { 60_000 }, reps.max(9)) {
         eprintln!("  {}", describe(&result));
         report.results.push(result);
@@ -657,8 +658,9 @@ fn bench_source_only(opts: &SuiteOptions, reps: usize) -> BenchResult {
 }
 
 /// Invariants the fresh run must satisfy on its own, baseline or not:
-/// the batched tail's ≥ 2× speedup and its zero-allocation steady
-/// state, the anonymiser shard floor, the decode-ratio floor
+/// the batched tail's [`MIN_TAIL_SPEEDUP`] (1.7×) floor and its
+/// zero-allocation steady state, the [`MIN_ANON_SHARD_SPEEDUP`] (1.25×)
+/// anonymiser shard floor, the decode-ratio floor
 /// ([`MAX_E2E_DECODE_RATIO`]) and the swarm tap's loss budget
 /// ([`MAX_SWARM_LOSS_PERMILLE`]). Returns human-readable failures
 /// (empty = pass).
@@ -1159,7 +1161,7 @@ mod tests {
         let good = green_report();
         assert!(self_checks(&good).is_empty());
 
-        // Batched tail under the 2x floor: exactly one failure.
+        // Batched tail under the 1.7x floor: exactly one failure.
         let mut slow = green_report();
         set_rps(&mut slow, "tail_batched", 15_000.0);
         assert_eq!(self_checks(&slow).len(), 1);
@@ -1174,7 +1176,7 @@ mod tests {
             .allocs_per_record = Some(0.5);
         assert_eq!(self_checks(&leaky).len(), 1);
 
-        // Sharded anonymiser under the 1.5x floor: exactly one failure.
+        // Sharded anonymiser under the 1.25x floor: exactly one failure.
         let mut shard_slow = green_report();
         set_rps(&mut shard_slow, "anonymize_shard4", 12_000.0);
         let failures = self_checks(&shard_slow);
@@ -1285,7 +1287,7 @@ mod tests {
     #[test]
     fn tail_bench_measures_real_corpus() {
         // A miniature corpus through both tails: counts must agree and
-        // throughputs be finite. (The 2x floor is checked in `repro
+        // throughputs be finite. (The 1.7x floor is checked in `repro
         // bench` where timing is meaningful, not under the test runner.)
         let mut corpus = Vec::new();
         let mut config = CampaignConfig::tiny();
@@ -1302,7 +1304,7 @@ mod tests {
     #[test]
     fn anonymize_bench_rows_agree() {
         // Both anonymiser rows over a small mix: same record counts,
-        // finite throughputs. (The 1.5x floor is checked in `repro
+        // finite throughputs. (The 1.25x floor is checked in `repro
         // bench` where timing is meaningful, not under the test runner.)
         let results = bench_anonymize(2_000, 1);
         assert_eq!(results.len(), 2);

@@ -116,14 +116,15 @@ pub struct CampaignReport {
 ///   `DatasetWriter::write_record`, one record at a time: the oracle
 ///   every writer-tail byte-identity check compares against;
 /// * [`Campaign::run_to_writer`] — the writer tail (see
-///   [`run_capture_pipeline_batched`]): shard pool, assembler,
-///   formatter and writer threads. Its dataset bytes and checkpoints
-///   equal [`Campaign::run_reference`]'s.
+///   [`run_capture_pipeline_batched`]): shard pool, assembler and write
+///   stage threads. Its dataset bytes and checkpoints equal
+///   [`Campaign::run_reference`]'s.
 ///
 /// With a nonzero `config.checkpoint_interval_secs`, every terminal
 /// hands a [`Checkpoint`] to `on_checkpoint` each time virtual time
 /// crosses an interval boundary. `run` leaves `writer_bytes` at 0 (it
-/// owns no writer); the other two stamp the writer's offset.
+/// owns no writer); the other two stamp the writer's offset, and hand
+/// out no checkpoint once a write has failed.
 ///
 /// ```
 /// use etw_core::campaign::Campaign;
@@ -218,28 +219,37 @@ impl<'a> Campaign<'a> {
     /// a time, and stamps the writer's offset into each checkpoint's
     /// `writer_bytes`, ready to persist. This is the reference the
     /// writer tail is checked against. After the first write error the
-    /// campaign runs to its end without writing and returns that error
-    /// as `CampaignError::Io`. The writer is returned still open: call
-    /// `finish()` to close the document.
+    /// campaign runs to its end without writing or handing out
+    /// checkpoints, and returns that error as `CampaignError::Io`. The
+    /// writer is returned still open: call `finish()` to close the
+    /// document.
     pub fn run_reference<W: Write>(
         self,
         mut writer: DatasetWriter<W>,
         mut on_checkpoint: impl FnMut(Checkpoint),
     ) -> Result<(CampaignReport, DatasetWriter<W>), CampaignError> {
-        let written = Cell::new(writer.bytes_written());
+        // The offset after the last good write; `None` once a write has
+        // failed, since a cut past that point would vouch for records
+        // the dataset does not hold.
+        let written = Cell::new(Some(writer.bytes_written()));
         let mut failed = None;
         let report = self.run(
             |record| {
                 if failed.is_none() {
                     match writer.write_record(&record) {
-                        Ok(()) => written.set(writer.bytes_written()),
-                        Err(e) => failed = Some(e),
+                        Ok(()) => written.set(Some(writer.bytes_written())),
+                        Err(e) => {
+                            failed = Some(e);
+                            written.set(None);
+                        }
                     }
                 }
             },
             |mut cp| {
-                cp.writer_bytes = written.get();
-                on_checkpoint(cp);
+                if let Some(bytes) = written.get() {
+                    cp.writer_bytes = bytes;
+                    on_checkpoint(cp);
+                }
             },
         )?;
         match failed {
@@ -250,12 +260,12 @@ impl<'a> Campaign<'a> {
 
     /// Runs the writer tail (see [`run_capture_pipeline_batched`]): the
     /// reorder stage hands `tail.batch_records`-record batches to the
-    /// anonymiser's shard pool and assembler, which feed a formatter
-    /// thread while a writer thread flushes finished buffers in order.
-    /// The dataset bytes equal [`Campaign::run_reference`]'s. Checkpoints
-    /// arrive with `writer_bytes` stamped by the writer thread. The
-    /// writer is returned still open: call `finish()` to close the
-    /// document.
+    /// anonymiser's shard pool and assembler, which feed a write stage
+    /// that encodes each batch and writes it in order. The dataset bytes
+    /// equal [`Campaign::run_reference`]'s. Checkpoints arrive with
+    /// `writer_bytes` stamped by the write stage; after a write error
+    /// none arrive. The writer is returned still open: call `finish()`
+    /// to close the document.
     pub fn run_to_writer<W: Write + Send>(
         self,
         tail: TailConfig,
@@ -959,16 +969,24 @@ mod tests {
 
     #[test]
     fn writer_campaign_surfaces_io_errors() {
-        /// Accepts the XML prologue, then fails: exercises both writer
-        /// terminals' mid-campaign error path (the writer tail's writer
-        /// thread drains, the campaign returns the error instead of
-        /// deadlocking; the reference stops writing and returns it).
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        /// Accepts the XML prologue and a few records, then fails, and
+        /// says so in `broken`: exercises both writer terminals'
+        /// mid-campaign error path (the writer tail's write stage drains,
+        /// the campaign returns the error instead of deadlocking; the
+        /// reference stops writing and returns it).
         struct FailAfter {
             left: usize,
+            broken: Arc<AtomicBool>,
         }
         impl Write for FailAfter {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
                 if self.left < buf.len() {
+                    // ordering: Relaxed — written and read on the thread
+                    // that writes the dataset and hands out its cuts.
+                    self.broken.store(true, Ordering::Relaxed);
                     return Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"));
                 }
                 self.left -= buf.len();
@@ -979,26 +997,39 @@ mod tests {
             }
         }
 
-        let config = CampaignConfig::tiny();
-        let writer = || DatasetWriter::new(FailAfter { left: 4096 }).expect("header fits");
-        let terminals = [
-            (
-                "run_reference",
-                Campaign::new(&config).run_reference(writer(), |_| {}).err(),
-            ),
-            (
-                "run_to_writer",
-                Campaign::new(&config)
-                    .run_to_writer(TailConfig::default(), writer(), |_| {})
+        // Checkpoints every 300 virtual s, so a run that failed early
+        // still passes five boundaries.
+        let mut config = CampaignConfig::tiny();
+        config.checkpoint_interval_secs = 300;
+        let (_, _, cps) = serial_writer_run(&config);
+        assert!(cps.len() >= 5, "a clean run cuts {} checkpoints", cps.len());
+        for terminal in ["run_reference", "run_to_writer"] {
+            let broken = Arc::new(AtomicBool::new(false));
+            let writer = DatasetWriter::new(FailAfter {
+                left: 4096,
+                broken: Arc::clone(&broken),
+            })
+            .expect("header fits");
+            let mut late_cuts = 0;
+            // ordering: Relaxed — as in FailAfter::write.
+            let on_cut = |_: Checkpoint| late_cuts += u32::from(broken.load(Ordering::Relaxed));
+            let campaign = Campaign::new(&config);
+            let err = match terminal {
+                "run_reference" => campaign.run_reference(writer, on_cut).err(),
+                _ => campaign
+                    .run_to_writer(TailConfig::default(), writer, on_cut)
                     .err(),
-            ),
-        ];
-        for (terminal, err) in terminals {
+            };
             match err {
                 Some(CampaignError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::StorageFull),
                 Some(other) => panic!("{terminal}: expected io error, got {other}"),
                 None => panic!("{terminal}: writer must fail"),
             }
+            assert!(
+                broken.load(Ordering::Relaxed),
+                "{terminal}: the sink failed"
+            );
+            assert_eq!(late_cuts, 0, "{terminal} handed out cuts after the failure");
         }
     }
 

@@ -179,7 +179,7 @@ impl Default for TraceOptions {
 }
 
 // Ring-lane layout of one pipeline run:
-// `[producer, decode×W, seq, format, write, assemble, shard×S]`.
+// `[producer, decode×W, seq, write, assemble, shard×S]`.
 // Lanes for stages a particular tail does not spawn stay empty and
 // merge away for free at dump time.
 fn lane_decode(w: usize) -> usize {
@@ -188,17 +188,14 @@ fn lane_decode(w: usize) -> usize {
 fn lane_seq(n_workers: usize) -> usize {
     1 + n_workers
 }
-fn lane_format(n_workers: usize) -> usize {
+fn lane_write(n_workers: usize) -> usize {
     2 + n_workers
 }
-fn lane_write(n_workers: usize) -> usize {
+fn lane_assemble(n_workers: usize) -> usize {
     3 + n_workers
 }
-fn lane_assemble(n_workers: usize) -> usize {
-    4 + n_workers
-}
 fn lane_shard(n_workers: usize, s: usize) -> usize {
-    5 + n_workers + s
+    4 + n_workers + s
 }
 
 /// Per-shard ledger handles for the anonymiser pool, feeding the
@@ -245,7 +242,7 @@ impl TraceCtx {
         registry: &Registry,
     ) -> Arc<TraceCtx> {
         Arc::new(TraceCtx {
-            recorder: FlightRecorder::new(5 + n_workers + n_shards, t.ring_slots),
+            recorder: FlightRecorder::new(4 + n_workers + n_shards, t.ring_slots),
             dump_dir: t.dump_dir.clone(),
             dumps_left: AtomicU32::new(t.max_dumps),
             dump_seq: AtomicU32::new(0),
@@ -384,9 +381,11 @@ pub struct TailConfig {
     /// comfortably inside L2 while leaving per-batch overhead in the
     /// noise.
     pub batch_records: usize,
-    /// Capacity, in batches, of the formatter and writer queues. Bounds
-    /// how far formatting may run ahead of the disk (and with the
-    /// recycling pools, the total number of live batch buffers).
+    /// Capacity, in batches, of every tail queue: each shard's input
+    /// (`shard_in`), the assembler's (`asm_in`) and the write stage's
+    /// (`write_in`). The record and shard-batch recycling pools hold
+    /// `batch_queue + 2` batches each. Bounds how far the reorder stage
+    /// may run ahead of the disk, and the number of live batch buffers.
     pub batch_queue: usize,
     /// Anonymiser shards (power of two, `1..=16`): each batch fans out
     /// to this many shard workers, split along the paper's
@@ -477,7 +476,7 @@ const FRAME_QUEUE: usize = 8;
 /// `registry` while the pipeline runs, under the names below. The
 /// writer tail, [`run_capture_pipeline_batched`], reports the same
 /// producer, decode, reorder and sink names, plus the timers of its
-/// shard, assemble, format and write stages, `stage.write.*_total`,
+/// shard, assemble and write stages, `stage.write.*_total`,
 /// `anon.shard<i>.*` and the `chan.*` series of its own queues.
 ///
 /// * `stage.{decode,reorder}.latency_ns` / `.queue_wait_ns` — each
@@ -567,82 +566,55 @@ where
     (stats, scheme)
 }
 
-/// A unit of work for the formatter stage, in strict capture order.
+/// A unit of work for the write stage, in strict capture order.
 enum FormatItem {
-    /// A run of anonymised records to render.
+    /// A run of anonymised records to encode and write.
     Batch(Vec<AnonRecord>),
-    /// A checkpoint cut; forwarded to the writer so it is stamped with
-    /// the exact dataset offset of everything enqueued before it.
+    /// A checkpoint cut, stamped with the dataset offset of everything
+    /// written before it.
     Checkpoint(PipelineCheckpoint),
 }
 
-/// A unit of work for the writer stage, in strict capture order.
-enum WriteItem {
-    /// Rendered bytes covering `records` records.
-    Bytes {
-        /// The batch's rendered bytes (recycled back to the formatter).
-        buf: Vec<u8>,
-        /// Records the bytes cover, for the writer's record counter.
-        records: u64,
-    },
-    /// A checkpoint reaching its stamping point.
-    Checkpoint(PipelineCheckpoint),
+/// Spawns a pipeline stage thread named `etw-<stage>`, with the worker
+/// or shard index appended for the stages that run several
+/// (`etw-decode0`, `etw-shard3`), so per-thread tools such as `top -H`
+/// show which stage a thread runs. Every name fits Linux's 15-byte
+/// thread-name limit.
+fn spawn_stage<'scope, 'env, T: Send + 'scope>(
+    scope: &crossbeam::thread::Scope<'scope, 'env>,
+    stage: StageId,
+    index: Option<usize>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> crossbeam::thread::ScopedJoinHandle<'scope, T> {
+    let name = match index {
+        Some(i) => format!("etw-{}{i}", stage.name()),
+        None => format!("etw-{}", stage.name()),
+    };
+    debug_assert!(name.len() <= 15, "thread name {name} is cut by Linux");
+    scope
+        .builder()
+        .name(name)
+        .spawn(move |_| f())
+        // etwlint: allow(no-panic-hot-path): the OS refused a thread at
+        // pipeline start-up, before any frame moved; `Scope::spawn`
+        // panics the same way.
+        .expect("spawn pipeline stage")
 }
 
-/// Spawns the formatter stage: renders record batches into recycled byte
-/// buffers with the zero-alloc encoder and forwards them (and checkpoint
-/// markers) to the writer in order. The emptied record vectors go back
-/// to the pool with their contents: the assembler overwrites records in
-/// place, so the stale records *are* its allocation pool.
-fn spawn_tail_formatter<'scope, 'env>(
+/// Spawns the write stage, the writer tail's last: it encodes each
+/// record batch into one reused byte buffer with the zero-alloc encoder,
+/// writes it through [`DatasetWriter::write_encoded`] and stamps each
+/// checkpoint with [`DatasetWriter::bytes_written`] when the cut reaches
+/// it. The emptied record vectors go back to the pool with their
+/// contents: the assembler overwrites records in place, so the stale
+/// records *are* its allocation pool. After an io error the stage stops
+/// encoding, writing and handing out cuts, but keeps draining so
+/// upstream never stalls.
+fn spawn_write_stage<'scope, 'env, W, F>(
     scope: &crossbeam::thread::Scope<'scope, 'env>,
     registry: &Registry,
-    fmt_rx: MeteredReceiver<FormatItem>,
-    write_tx: MeteredSender<WriteItem>,
+    rx: MeteredReceiver<FormatItem>,
     rec_pool_back: crossbeam::channel::Sender<Vec<AnonRecord>>,
-    buf_pool_rx: crossbeam::channel::Receiver<Vec<u8>>,
-    lane: Option<TraceLane>,
-) -> crossbeam::thread::ScopedJoinHandle<'scope, ()> {
-    let trace = StageTrace::new(registry, StageId::Format, lane);
-    scope.spawn(move |_| {
-        let mut pt = trace.begin();
-        while let Ok(item) = fmt_rx.recv() {
-            let w0 = trace.service_begin(&mut pt);
-            let out = match item {
-                FormatItem::Batch(recs) => {
-                    let mut buf = buf_pool_rx
-                        .try_recv()
-                        .unwrap_or_else(|| Vec::with_capacity(recs.len() * 64));
-                    buf.clear();
-                    encode::encode_batch(&mut buf, &recs);
-                    let records = recs.len() as u64;
-                    let last_us = recs.last().map_or(0, |r| r.ts_us);
-                    let _ = rec_pool_back.try_send(recs);
-                    trace.service_end(&mut pt, records as u32, last_us, w0);
-                    WriteItem::Bytes { buf, records }
-                }
-                FormatItem::Checkpoint(cp) => {
-                    trace.service_end(&mut pt, cp.records as u32, cp.virtual_us, w0);
-                    WriteItem::Checkpoint(cp)
-                }
-            };
-            if write_tx.send(out).is_err() {
-                break;
-            }
-            pt = trace.begin();
-        }
-    })
-}
-
-/// Spawns the writer stage: flushes buffers in sequence, stamps
-/// checkpoints with the exact dataset offset, recycles buffers. On an io
-/// error it keeps draining (without writing) so upstream never stalls.
-#[allow(clippy::too_many_arguments)]
-fn spawn_tail_writer<'scope, 'env, W, F>(
-    scope: &crossbeam::thread::Scope<'scope, 'env>,
-    registry: &Registry,
-    write_rx: MeteredReceiver<WriteItem>,
-    buf_pool_tx: crossbeam::channel::Sender<Vec<u8>>,
     writer: DatasetWriter<W>,
     mut on_checkpoint: F,
     lane: Option<TraceLane>,
@@ -654,15 +626,19 @@ where
     let written_batches = registry.counter("stage.write.batches_total");
     let written_bytes = registry.counter("stage.write.bytes_total");
     let trace = StageTrace::new(registry, StageId::Write, lane);
-    scope.spawn(move |_| {
+    spawn_stage(scope, StageId::Write, None, move || {
         let mut w = writer;
         let mut io_err: Option<io::Error> = None;
+        let mut buf = Vec::new();
         let mut pt = trace.begin();
-        while let Ok(item) = write_rx.recv() {
+        while let Ok(item) = rx.recv() {
             let w0 = trace.service_begin(&mut pt);
-            match item {
-                WriteItem::Bytes { mut buf, records } => {
+            let (records, virtual_us) = match item {
+                FormatItem::Batch(recs) => {
+                    let records = recs.len() as u64;
                     if io_err.is_none() {
+                        buf.clear();
+                        encode::encode_batch(&mut buf, &recs);
                         match w.write_encoded(&buf, records) {
                             Ok(()) => {
                                 written_batches.inc();
@@ -671,19 +647,19 @@ where
                             Err(e) => io_err = Some(e),
                         }
                     }
-                    buf.clear();
-                    let _ = buf_pool_tx.try_send(buf);
-                    trace.service_end(&mut pt, records as u32, 0, w0);
+                    let last_us = recs.last().map_or(0, |r| r.ts_us);
+                    let _ = rec_pool_back.try_send(recs);
+                    (records, last_us)
                 }
-                WriteItem::Checkpoint(cp) => {
+                FormatItem::Checkpoint(cp) => {
+                    let at = (cp.records, cp.virtual_us);
                     if io_err.is_none() {
-                        let virtual_us = cp.virtual_us;
-                        let records = cp.records;
                         on_checkpoint(cp, w.bytes_written());
-                        trace.service_end(&mut pt, records as u32, virtual_us, w0);
                     }
+                    at
                 }
-            }
+            };
+            trace.service_end(&mut pt, records as u32, virtual_us, w0);
         }
         (w, io_err)
     })
@@ -817,9 +793,9 @@ enum AsmItem {
 ///
 /// ```text
 ///                      ┌► shard 0 ───┐
-/// reorder ─► visit ────┼► ...        ├─► assemble ─► format ─► write
-///   (seq)    (ids)     └► shard S-1 ─┘   (remap +
-///                 └──────────────────────► construct, seq)
+/// reorder ─► visit ────┼► ...        ├─► assemble ─► write
+///   (seq)    (ids)     └► shard S-1 ─┘   (remap +     (encode +
+///                 └──────────────────────► construct)  write_encoded)
 /// ```
 ///
 /// * The reorder stage, the serial tail's own, restores capture order,
@@ -836,28 +812,31 @@ enum AsmItem {
 ///   remaps the provisionals to global appearance orders, constructs the
 ///   records with allocation reuse, and fills checkpoint cuts with its
 ///   orders.
-/// * The formatter renders each batch into a recycled byte buffer with
-///   [`encode::encode_batch`] — byte-identical to
+/// * The write stage encodes each batch into one reused byte buffer
+///   with [`encode::encode_batch`] — byte-identical to
 ///   [`DatasetWriter::write_record`], zero heap allocations per record
-///   in steady state.
-/// * The writer flushes completed buffers strictly in sequence through
-///   [`DatasetWriter::write_encoded`] (`stage.write.*_total`), so the
-///   output is byte-identical to the serial tail for every shard count
-///   and `.etwckpt` offsets stay valid: a checkpoint cut travels through
-///   the ordered queues as a marker and `on_checkpoint` fires on the
-///   writer thread with [`DatasetWriter::bytes_written`] at exactly the
-///   cut's offset.
+///   in steady state — and writes it through
+///   [`DatasetWriter::write_encoded`] (`stage.write.*_total`), strictly
+///   in sequence. The output is therefore byte-identical to the serial
+///   tail for every shard count and `.etwckpt` offsets stay valid: a
+///   checkpoint cut travels through the ordered queues as a marker and
+///   `on_checkpoint` fires on the write stage's thread with
+///   [`DatasetWriter::bytes_written`] at exactly the cut's offset.
 ///
-/// Every stage times its own work only: the assembler opens its span
-/// once it holds every shard's result, and each stage closes its span
-/// before the downstream send and restarts the timer after it, so a
-/// blocked send shows only in `chan.<out>.stall_ns_total`.
+/// The tail runs `S + 2` threads beside the reorder stage: the shards,
+/// the assembler and the write stage, named `etw-shard<s>`,
+/// `etw-assemble` and `etw-write` (the front's are `etw-producer` and
+/// `etw-decode<w>`). Every stage times its own work only: the assembler
+/// opens its span once it holds every shard's result, and each stage
+/// closes its span before the downstream send and restarts the timer
+/// after it, so a blocked send shows only in `chan.<out>.stall_ns_total`.
 ///
 /// Checkpoint cuts flush the staged run first, so the captured encoder
 /// state covers precisely "everything before the boundary message", as
 /// in the serial tail. The returned scheme is rebuilt from the
-/// assembler's final orders. On a writer io error the pipeline drains
-/// the decode stage without formatting further and returns the error.
+/// assembler's final orders. After a writer io error the write stage
+/// drains the tail without encoding, writing or handing out cuts, and
+/// the pipeline returns the error.
 #[allow(clippy::too_many_arguments)]
 pub fn run_capture_pipeline_batched<I, W>(
     frames: I,
@@ -903,13 +882,10 @@ where
         // pool channels flow emptied buffers back upstream so steady
         // state reuses the same allocations forever.
         let pool_cap = tail.batch_queue + 2;
-        let (fmt_tx, fmt_rx) = metered_bounded::<FormatItem>(tail.batch_queue, registry, "fmt_in");
         let (write_tx, write_rx) =
-            metered_bounded::<WriteItem>(tail.batch_queue, registry, "write_in");
+            metered_bounded::<FormatItem>(tail.batch_queue, registry, "write_in");
         // etwlint: allow(no-unbounded-channel): bounded recycling pool, not a work queue — try_send/try_recv only, never blocks
         let (rec_pool_tx, rec_pool_rx) = crossbeam::channel::bounded::<Vec<AnonRecord>>(pool_cap);
-        // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
-        let (buf_pool_tx, buf_pool_rx) = crossbeam::channel::bounded::<Vec<u8>>(pool_cap);
         // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
         let (batch_pool_tx, batch_pool_rx) = crossbeam::channel::bounded::<ShardBatch>(pool_cap);
         // The resolution-vector pool is shared by all shard workers, so
@@ -921,25 +897,13 @@ where
             std::sync::Arc::new(std::sync::Mutex::new(Vec::with_capacity(2 * n_shards + 2)));
         for _ in 0..pool_cap {
             let _ = rec_pool_tx.try_send(Vec::with_capacity(tail.batch_records));
-            let _ = buf_pool_tx.try_send(Vec::with_capacity(tail.batch_records * 64));
         }
 
-        let formatter = spawn_tail_formatter(
-            scope,
-            registry,
-            fmt_rx,
-            write_tx,
-            rec_pool_tx.clone(),
-            buf_pool_rx,
-            trace_ctx
-                .as_ref()
-                .map(|c| c.lane(lane_format(n_workers), 0)),
-        );
-        let writer_thread = spawn_tail_writer(
+        let write_stage = spawn_write_stage(
             scope,
             registry,
             write_rx,
-            buf_pool_tx,
+            rec_pool_tx,
             writer,
             on_checkpoint,
             trace_ctx.as_ref().map(|c| c.lane(lane_write(n_workers), 0)),
@@ -970,7 +934,7 @@ where
                     .as_ref()
                     .map(|c| c.lane(lane_shard(n_workers, sindex), sindex as u16)),
             );
-            shard_handles.push(scope.spawn(move |_| {
+            let handle = spawn_stage(scope, StageId::Shard, Some(sindex), move || {
                 let mut pt = trace.begin();
                 while let Ok(batch) = rx.recv() {
                     lane_metrics.queue_depth.add(-1);
@@ -1001,14 +965,15 @@ where
                     pt = trace.begin();
                 }
                 set
-            }));
+            });
+            shard_handles.push(handle);
         }
         drop(shard_out_tx);
 
         // Assembler: strict batch order. For each batch, gather all
         // shards' resolutions (stashing early arrivals for later seqs),
         // scatter + remap to final appearance orders, construct records
-        // in place, and hand them to the formatter.
+        // in place, and hand them to the write stage.
         let (asm_tx, asm_rx) = metered_bounded::<AsmItem>(tail.batch_queue, registry, "asm_in");
         let asm_trace = StageTrace::new(
             registry,
@@ -1017,7 +982,7 @@ where
                 .as_ref()
                 .map(|c| c.lane(lane_assemble(n_workers), 0)),
         );
-        let asm_thread = scope.spawn(move |_| {
+        let asm_thread = spawn_stage(scope, StageId::Assemble, None, move || {
             let mut asm = assembler;
             let mut stash: BTreeMap<u64, Vec<ShardResult>> = BTreeMap::new();
             let mut failed = false;
@@ -1070,7 +1035,7 @@ where
                             let _ = batch_pool_tx.try_send(b);
                         }
                         asm_trace.service_end(&mut pt, bseq as u32, last_us, w0);
-                        failed = fmt_tx.send(FormatItem::Batch(recs)).is_err();
+                        failed = write_tx.send(FormatItem::Batch(recs)).is_err();
                     }
                     AsmItem::Checkpoint(at) => {
                         if failed {
@@ -1085,7 +1050,7 @@ where
                             asm.file_order().to_vec(),
                         );
                         asm_trace.service_end(&mut pt, at.records as u32, at.virtual_us, w0);
-                        failed = fmt_tx.send(FormatItem::Checkpoint(cp)).is_err();
+                        failed = write_tx.send(FormatItem::Checkpoint(cp)).is_err();
                     }
                 }
                 pt = asm_trace.begin();
@@ -1128,9 +1093,9 @@ where
         }
         drop(outbox);
 
-        // Shutdown order follows the data: shards, assembler, formatter,
-        // writer. The shards own disjoint buckets, so their probe
-        // ledgers sum to the serial encoder's.
+        // Shutdown order follows the data: shards, assembler, write
+        // stage. The shards own disjoint buckets, so their probe ledgers
+        // sum to the serial encoder's.
         for h in shard_handles {
             // etwlint: allow(no-panic-hot-path): join() only errs when
             // the joined thread panicked; re-raising is panic
@@ -1141,9 +1106,7 @@ where
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
         let asm = asm_thread.join().expect("assembler panicked");
         // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        formatter.join().expect("formatter panicked");
-        // etwlint: allow(no-panic-hot-path): panic propagation, as above
-        let (w, io_err) = writer_thread.join().expect("writer panicked");
+        let (w, io_err) = write_stage.join().expect("write stage panicked");
         (stats, w, io_err, asm)
     })
     // etwlint: allow(no-panic-hot-path): crossbeam scope() errs only when
@@ -1328,7 +1291,12 @@ where
             .faults
             .clone()
             .map(|plan| (windex, plan, fault_telemetry.clone()));
-        handles.push(scope.spawn(move |_| worker_loop(rx, out_tx, frames, trace, supervision)));
+        handles.push(spawn_stage(
+            scope,
+            StageId::Decode,
+            Some(windex),
+            move || worker_loop(rx, out_tx, frames, trace, supervision),
+        ));
     }
     drop(out_tx);
 
@@ -1341,7 +1309,7 @@ where
     let shed = registry.counter("pipeline.shed_total");
     let producer_lane = trace_ctx.map(|c| c.lane(0, 0));
     let producer_plan = opts.faults.clone();
-    let producer = scope.spawn(move |_| {
+    let producer = spawn_stage(scope, StageId::Producer, None, move || {
         let mut seq = 0u64;
         let mut offered = 0u64;
         let mut shed_count = 0u64;
@@ -2308,16 +2276,12 @@ mod tests {
             let snap = registry.snapshot();
             let batches = stats.records.div_ceil(32);
             let fanned = batches * shards as u64;
-            // Format and write: each batch once. The dataset is header +
-            // written bytes + footer.
+            // Write: each batch encoded and written once. The dataset is
+            // header + written bytes + footer.
             assert_eq!(snap.counter("stage.sink.records_total"), stats.records);
             assert_eq!(snap.counter("stage.write.batches_total"), batches);
             let body = snap.counter("stage.write.bytes_total");
             assert!(body > 0 && (body as usize) < bytes.len());
-            assert_eq!(
-                snap.histogram("stage.format.latency_ns").unwrap().count,
-                batches
-            );
             assert_eq!(
                 snap.histogram("stage.write.latency_ns").unwrap().count,
                 batches
@@ -2346,7 +2310,7 @@ mod tests {
             assert!(cid_sum >= stats.records);
             assert!(stats.fileid_probes.inserts > 0 && stats.fileid_probes.probes > 0);
             // Every tail queue fully drained at exit.
-            for chan in ["fmt_in", "write_in", "shard_in", "shard_out", "asm_in"] {
+            for chan in ["write_in", "shard_in", "shard_out", "asm_in"] {
                 assert_eq!(
                     snap.gauge(&format!("chan.{chan}.depth")),
                     0,
@@ -2370,9 +2334,10 @@ mod tests {
 
     #[test]
     fn blocked_send_is_a_channel_stall_not_stage_time() {
-        // The slow disk backs the tail up: the formatter blocks sending
-        // into write_in, the assembler into fmt_in. That time belongs to
-        // the channels' stall counters, not to either stage's timer.
+        // The slow disk is the write stage's own service time, and it
+        // backs the tail up: the assembler blocks sending into write_in.
+        // That time belongs to the channel's stall counter, not to the
+        // assembler's timer.
         let registry = Registry::new();
         let tail = TailConfig {
             batch_records: 8,
@@ -2388,22 +2353,73 @@ mod tests {
         let snap = registry.snapshot();
         let sum = |name: &str| snap.histogram(name).unwrap().sum;
         let write_stalls = snap.counter("chan.write_in.stall_ns_total");
-        let fmt_stalls = snap.counter("chan.fmt_in.stall_ns_total");
         assert!(
             write_stalls > 10_000_000,
             "write_in stalled {write_stalls} ns"
         );
-        assert!(fmt_stalls > 10_000_000, "fmt_in stalled {fmt_stalls} ns");
-        let formatter = sum("stage.format.latency_ns") + sum("stage.format.queue_wait_ns");
+        // One 2 ms write call per batch.
+        let batches = snap.counter("stage.write.batches_total");
+        let writing = sum("stage.write.latency_ns");
         assert!(
-            formatter < write_stalls / 2,
-            "formatter booked {formatter} ns against {write_stalls} ns stalled on write_in"
+            writing >= batches * 2_000_000,
+            "write stage booked {writing} ns for {batches} writes"
         );
         let assembler = sum("stage.assemble.latency_ns");
         assert!(
-            assembler < fmt_stalls / 2,
-            "assembler booked {assembler} ns against {fmt_stalls} ns stalled on fmt_in"
+            assembler < write_stalls / 2,
+            "assembler booked {assembler} ns against {write_stalls} ns stalled on write_in"
         );
+    }
+
+    #[test]
+    fn pipeline_threads_carry_stage_names() {
+        use std::collections::BTreeSet;
+        use std::sync::Mutex;
+        type Names = Arc<Mutex<BTreeSet<String>>>;
+        fn note(names: &Names) {
+            let name = std::thread::current().name().unwrap_or("").to_owned();
+            names.lock().unwrap().insert(name);
+        }
+        /// Records the name of every thread that writes to it.
+        struct NamingSink(Names);
+        impl Write for NamingSink {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                note(&self.0);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (pulled_by, written_by) = (Names::default(), Names::default());
+        let pulls = Arc::clone(&pulled_by);
+        let frames = frames_for(&mixed_msgs(100))
+            .into_iter()
+            .inspect(move |_| note(&pulls));
+        let writer = DatasetWriter::new(NamingSink(Arc::clone(&written_by))).unwrap();
+        // The header was written here, on the test's own thread.
+        written_by.lock().unwrap().clear();
+        let tail = TailConfig {
+            batch_records: 16,
+            batch_queue: 2,
+            anon_shards: 2,
+        };
+        // Held open to the end: closing it writes the footer from here.
+        let (stats, _, _writer) = run_capture_pipeline_batched(
+            frames,
+            2,
+            PaperScheme::paper(16),
+            &Registry::disabled(),
+            &PipelineOptions::default(),
+            tail,
+            writer,
+            |_, _| {},
+        )
+        .unwrap();
+        assert_eq!(stats.records, 100);
+        let only = |name: &str| BTreeSet::from([name.to_owned()]);
+        assert_eq!(*pulled_by.lock().unwrap(), only("etw-producer"));
+        assert_eq!(*written_by.lock().unwrap(), only("etw-write"));
     }
 
     #[test]

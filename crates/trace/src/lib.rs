@@ -64,15 +64,18 @@ pub enum StageId {
     Decode = 1,
     /// The sequence-reorder buffer on the sink thread.
     Reorder = 2,
-    /// The serial anonymise step (1-shard tail).
+    /// Retired: the serial anonymise step of the old 1-shard tail, whose
+    /// work the shard pool now does. Kept so that older dumps decode.
     Anonymize = 3,
     /// An anonymiser shard worker.
     Shard = 4,
     /// The assembler remapping shard results into final records.
     Assemble = 5,
-    /// The batch formatter (zero-alloc XML encoder).
+    /// Retired: the batch formatter, folded into [`StageId::Write`].
+    /// Kept so that older dumps decode.
     Format = 6,
-    /// The dataset writer.
+    /// The write stage: encodes record batches with the zero-alloc XML
+    /// encoder and writes them to the dataset.
     Write = 7,
     /// The worker supervisor (crash/restart/backoff decisions).
     Supervisor = 8,
@@ -262,7 +265,7 @@ impl StageTimer {
 /// # use etw_telemetry::Registry;
 /// # use etw_trace::{StageId, StageProfile};
 /// # let registry = Registry::new();
-/// let profile = StageProfile::new(&registry, StageId::Format);
+/// let profile = StageProfile::new(&registry, StageId::Decode);
 /// let mut t = profile.begin();       // before blocking on input
 /// /* item = rx.recv() */
 /// profile.note_wait(&mut t);         // wait ends, service begins
@@ -272,7 +275,7 @@ impl StageTimer {
 /// t = profile.begin();               // restart after the send
 /// # drop(t);
 /// let snap = registry.snapshot();
-/// assert_eq!(snap.histogram("stage.format.latency_ns").unwrap().count, 1);
+/// assert_eq!(snap.histogram("stage.decode.latency_ns").unwrap().count, 1);
 /// assert_eq!(snap.histograms.len(), 2);
 /// ```
 ///

@@ -331,11 +331,11 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     }
     let total_virtual_secs = config.generator.duration_secs;
 
-    // Drive the writer tail (shard→assemble→format→write) so the monitor
-    // shows the shard pool's and the formatter/writer stage counters; the
-    // dataset itself goes to a sink — monitoring is about vitals, not
-    // output. `--shards N` sizes the shard pool behind the q_sh/q_asm
-    // columns; two or more shards also light up the balance panel.
+    // Drive the writer tail (shard→assemble→write) so the monitor shows
+    // the shard pool's and the write stage's counters; the dataset
+    // itself goes to a sink — monitoring is about vitals, not output.
+    // `--shards N` sizes the shard pool behind the q_sh/q_asm columns;
+    // two or more shards also light up the balance panel.
     let tail = TailConfig {
         anon_shards: shards,
         ..TailConfig::default()
@@ -554,7 +554,7 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
     println!(
         "virt {:>7}s/{} ({:>5.1}%) | frames {:>11} ({:>9.0}/s) | \
          records {:>11} ({:>7.0}/s) | wr {:>8} batch {:>6.1} MB | \
-         lost {:>6} | q_in {:>4} | q_sh {:>3} | q_asm {:>3} | q_fmt {:>3} | q_wr {:>3} | \
+         lost {:>6} | q_in {:>4} | q_sh {:>3} | q_asm {:>3} | q_wr {:>3} | \
          stalls {:>4}",
         virtual_secs,
         grouped(total_secs),
@@ -571,7 +571,6 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
         // the pool's channels) and the assembler's batch queue.
         snap.gauge("chan.shard_in.depth") + snap.gauge("chan.shard_out.depth"),
         snap.gauge("chan.asm_in.depth"),
-        snap.gauge("chan.fmt_in.depth"),
         snap.gauge("chan.write_in.depth"),
         snap.counter("chan.decode_in.stalls_total"),
     );
@@ -627,8 +626,7 @@ fn print_top(
         ("decode", "chan.decode_in.depth", &["decode_out"][..]),
         ("reorder", "chan.decode_out.depth", &["shard_in", "asm_in"]),
         ("shard", "chan.shard_in.depth", &["shard_out"]),
-        ("assemble", "chan.asm_in.depth", &["fmt_in"]),
-        ("format", "chan.fmt_in.depth", &["write_in"]),
+        ("assemble", "chan.asm_in.depth", &["write_in"]),
         ("write", "chan.write_in.depth", &[]),
     ] {
         let lat_name = format!("stage.{stage}.latency_ns");
