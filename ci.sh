@@ -24,7 +24,7 @@ mkdir -p "$LOG_DIR"
 STAGES='
 build|cargo build --release|cargo build --release
 test|workspace tests|cargo test -q --workspace
-perfbench|benchmark workspace tests: sharded source vs serial engine answers, writer-tail digest vs serial oracle|cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+perfbench|benchmark workspace tests: sharded source vs serial engine answers, writer-tail digest vs serial oracle; --locked fails if a workspace change rewrites perfbench/Cargo.lock|cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 soak|kill+resume byte identity, fault ledgers|cargo run -q --release --bin repro -- soak --faults --out target/soak
 swarm|real-socket loopback soak: impaired client swarm, exact conservation, live-capture canary|cargo run -q --release --bin repro -- swarm --faults --out target/swarm
 bench|stage + end-to-end throughput, decode-ratio + swarm floors, trajectory vs newest BENCH_PR*.json|cargo run -q --release --bin repro -- bench --smoke --out target/bench

@@ -106,7 +106,9 @@ impl std::error::Error for ConfigError {}
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SourceConfig {
     /// Generator workers / directory-index shards. Power of two in
-    /// `1..=16`; 1 keeps the source fully sequential.
+    /// `1..=16`. At 1 the source still runs its own threads, one
+    /// generator (`src-gen0`), one index shard (`src-idx0`) and the
+    /// merger (`src-merge`), beside the consumer.
     pub source_shards: usize,
 }
 

@@ -15,7 +15,7 @@
 //! two restores deterministic capture order regardless of worker
 //! interleaving.
 
-use crate::wirepath::{Direction, Recovered, WireDecoder, SERVER_IP};
+use crate::wirepath::{fragment_key, frame_direction, Direction, Recovered, WireDecoder};
 use bytes::Bytes;
 use etw_anonymize::fileid::ProbeStats;
 use etw_anonymize::scheme::{AnonRecord, PaperScheme};
@@ -58,17 +58,11 @@ impl LinkFrame for TimedFrame {
         self.ts = VirtualTime(us);
     }
     fn direction(&self) -> LinkDirection {
-        // Ethernet header is 14 bytes; IPv4 destination at +16. Frames
-        // too short to tell default to the client→server side.
-        if self.bytes.len() >= 34 {
-            let d = &self.bytes[30..34];
-            let dst = u32::from_be_bytes([d[0], d[1], d[2], d[3]]);
-            if dst == SERVER_IP {
-                return LinkDirection::ToServer;
-            }
-            return LinkDirection::FromServer;
+        // Frames too short to tell default to the client→server side.
+        match frame_direction(&self.bytes) {
+            Some(Direction::FromServer) => LinkDirection::FromServer,
+            Some(Direction::ToServer) | None => LinkDirection::ToServer,
         }
-        LinkDirection::ToServer
     }
     fn wire_len(&self) -> usize {
         self.bytes.len()
@@ -375,17 +369,19 @@ impl StageTrace {
 #[derive(Clone, Copy, Debug)]
 pub struct TailConfig {
     /// Records staged per batch before the reorder stage hands them to
-    /// the shard pool and the assembler as one unit. Larger batches
+    /// the shard pool as one unit. Larger batches
     /// amortise channel traffic and counter updates; smaller batches cut
     /// the latency between decode and disk. The default keeps a batch
     /// comfortably inside L2 while leaving per-batch overhead in the
     /// noise.
     pub batch_records: usize,
-    /// Capacity, in batches, of every tail queue: each shard's input
-    /// (`shard_in`), the assembler's (`asm_in`) and the write stage's
-    /// (`write_in`). The record and shard-batch recycling pools hold
-    /// `batch_queue + 2` batches each. Bounds how far the reorder stage
-    /// may run ahead of the disk, and the number of live batch buffers.
+    /// Capacity, in items (batches and checkpoint cuts), of each
+    /// shard's input queue (`shard_in`) and of the write stage's
+    /// (`write_in`); each shard's output queue (`shard_out`), which the
+    /// assembler reads, holds two. The record recycling pool holds
+    /// `batch_queue + 2` batches, and the shard-batch pool two more for
+    /// the output queues. Bounds how far the reorder stage may run ahead
+    /// of the disk, and the number of live batch buffers.
     pub batch_queue: usize,
     /// Anonymiser shards (power of two, `1..=16`): each batch fans out
     /// to this many shard workers, split along the paper's
@@ -665,15 +661,13 @@ where
     })
 }
 
-/// One staged run of messages travelling to the shard pool and the
+/// One staged run of messages travelling through the shard pool to the
 /// assembler. The flat id arrays are the visit pass's output: every
 /// clientID/fileID the anonymiser will touch, in encoder order, so the
 /// shards scan plain arrays instead of message trees. Shared by `Arc`:
-/// each shard reads it, the assembler reads it last and reclaims the
-/// buffers.
+/// each shard reads it and passes its handle on with its resolutions;
+/// the assembler reads it last and reclaims the buffers.
 struct ShardBatch {
-    /// Batch sequence number (assembler matches shard results to it).
-    seq: u64,
     msgs: Vec<DecodedMsg>,
     client_ids: Vec<u32>,
     file_ids: Vec<FileId>,
@@ -682,30 +676,58 @@ struct ShardBatch {
 impl ShardBatch {
     fn with_capacity(records: usize) -> ShardBatch {
         ShardBatch {
-            seq: 0,
             msgs: Vec::with_capacity(records),
             client_ids: Vec::new(),
             file_ids: Vec::new(),
         }
     }
+
+    /// A stage span's arguments for this batch: its records and the
+    /// virtual time of the last one.
+    fn span_args(&self) -> (u32, u64) {
+        (
+            self.msgs.len() as u32,
+            self.msgs.last().map_or(0, |d| d.ts.0),
+        )
+    }
 }
+
+/// An item on a shard's ordered queues, in capture order. Every shard
+/// gets every item: a batch, which it answers with its resolutions, or
+/// a checkpoint cut, which it passes on unchanged.
+#[derive(Clone)]
+enum ShardItem<B> {
+    Batch(B),
+    Cut(ResumePoint),
+}
+
+/// A shard's sparse resolutions for one batch, clientIDs and fileIDs:
+/// `(index into the batch's id array, striped provisional)`. The vectors
+/// go back to their shard for reuse.
+type ResVecs = (Vec<(u32, u32)>, Vec<(u32, u64)>);
+
+/// One shard's answer to one batch: the batch handle, passed on, and the
+/// shard's resolutions.
+type Resolved = (Arc<ShardBatch>, ResVecs);
+
+/// Capacity, in items, of each shard's output queue (`shard_out`): the
+/// shard resolves the next batch while the assembler takes the last.
+const SHARD_OUT_QUEUE: usize = 2;
 
 /// The writer tail's side of the reorder stage. Inside the reorder span
 /// the visit pass stages messages into batches of
-/// [`TailConfig::batch_records`], and the batches and checkpoint markers
+/// [`TailConfig::batch_records`], and the batches and checkpoint cuts
 /// the span releases wait in `items`, in capture order. [`Outbox::send`]
-/// fans them out once the span has closed, so a blocked send is a
-/// channel stall, never reorder time. Dropping the outbox hangs up the
-/// shards and the assembler.
+/// hands them to every shard once the span has closed, so a blocked
+/// send is a channel stall, never reorder time. Dropping the outbox
+/// hangs up the shards, and through them the assembler.
 struct Outbox {
     cur: ShardBatch,
-    items: Vec<AsmItem>,
-    batch_seq: u64,
+    items: Vec<ShardItem<Arc<ShardBatch>>>,
     batch_records: usize,
     pool: crossbeam::channel::Receiver<ShardBatch>,
     /// Each shard's input queue, with its `anon.shard<i>.queue_depth`.
-    shards: Vec<(MeteredSender<Arc<ShardBatch>>, Gauge)>,
-    asm: MeteredSender<AsmItem>,
+    shards: Vec<(MeteredSender<ShardItem<Arc<ShardBatch>>>, Gauge)>,
 }
 
 impl Outbox {
@@ -720,14 +742,14 @@ impl Outbox {
         }
     }
 
-    /// Queues a checkpoint marker behind the staged run, so the cut
-    /// covers exactly the messages before it.
+    /// Queues a checkpoint cut behind the staged run, so the cut covers
+    /// exactly the messages before it.
     fn cut(&mut self, at: ResumePoint) {
         self.close_batch();
-        self.items.push(AsmItem::Checkpoint(at));
+        self.items.push(ShardItem::Cut(at));
     }
 
-    /// Queues the staged run, if any, as the next numbered batch.
+    /// Queues the staged run, if any, as the next batch.
     fn close_batch(&mut self) {
         if self.cur.msgs.is_empty() {
             return;
@@ -739,52 +761,29 @@ impl Outbox {
         next.msgs.clear();
         next.client_ids.clear();
         next.file_ids.clear();
-        let mut batch = std::mem::replace(&mut self.cur, next);
-        batch.seq = self.batch_seq;
-        self.batch_seq += 1;
-        self.items.push(AsmItem::Batch(Arc::new(batch)));
+        let batch = std::mem::replace(&mut self.cur, next);
+        self.items.push(ShardItem::Batch(Arc::new(batch)));
     }
 
-    /// Sends the queued items in capture order: each batch to every
-    /// shard, then every batch and marker to the assembler. Returns
-    /// `false` once a receiver is gone.
+    /// Sends the queued items in capture order, each to every shard.
+    /// The last shard takes the outbox's own batch handle, so once every
+    /// shard has passed its handle on the assembler holds the only one.
+    /// Returns `false` once a shard is gone.
     fn send(&mut self) -> bool {
-        let (shards, asm) = (&self.shards, &self.asm);
-        self.items.drain(..).all(|item| {
-            if let AsmItem::Batch(batch) = &item {
-                for (tx, depth) in shards {
-                    if tx.send(Arc::clone(batch)).is_err() {
-                        return false;
-                    }
-                    depth.add(1);
-                }
+        let Some((last, rest)) = self.shards.split_last() else {
+            return false;
+        };
+        let send = |(tx, depth): &(MeteredSender<_>, Gauge), item| {
+            let sent = tx.send(item).is_ok();
+            if sent {
+                depth.add(1);
             }
-            asm.send(item).is_ok()
-        })
+            sent
+        };
+        self.items
+            .drain(..)
+            .all(|item| rest.iter().all(|s| send(s, item.clone())) && send(last, item))
     }
-}
-
-/// Sparse resolutions from one shard for one batch: `(index into the
-/// batch's id array, striped provisional)`.
-struct ShardResult {
-    seq: u64,
-    clients: Vec<(u32, u32)>,
-    files: Vec<(u32, u64)>,
-}
-
-/// A recycled pair of resolution vectors (clients, files) from the
-/// shard workers' shared free-list.
-type ResVecs = (Vec<(u32, u32)>, Vec<(u32, u64)>);
-/// The shard workers' shared resolution-vector free-list.
-type ResPool = std::sync::Arc<std::sync::Mutex<Vec<ResVecs>>>;
-
-/// Work for the assembler, in strict capture order.
-enum AsmItem {
-    Batch(std::sync::Arc<ShardBatch>),
-    /// A checkpoint cut; the assembler owns the appearance orders, so it
-    /// fills them in and forwards the completed checkpoint down the
-    /// ordered queues.
-    Checkpoint(ResumePoint),
 }
 
 /// [`run_capture_pipeline_with`] with the serial tail replaced by the
@@ -794,24 +793,27 @@ enum AsmItem {
 /// ```text
 ///                      ┌► shard 0 ───┐
 /// reorder ─► visit ────┼► ...        ├─► assemble ─► write
-///   (seq)    (ids)     └► shard S-1 ─┘   (remap +     (encode +
-///                 └──────────────────────► construct)  write_encoded)
+///   (seq)    (ids)     └► shard S-1 ─┘   (lockstep,   (encode +
+///                                         remap +      write_encoded)
+///                                         construct)
 /// ```
 ///
 /// * The reorder stage, the serial tail's own, restores capture order,
 ///   cuts checkpoints and consumes the resume prefix. Inside its span
 ///   the tail runs the visit pass ([`collect_ids`]) while staging
 ///   [`TailConfig::batch_records`] messages per batch, and queues the
-///   batches and cut markers in an outbox. Once the span has closed, it
-///   fans each batch out to the shard pool and the assembler.
+///   batches and cuts in an outbox. Once the span has closed, it hands
+///   every item to every shard, in capture order.
 /// * [`TailConfig::anon_shards`] shard workers resolve the ids they own
 ///   to striped provisionals: clientIDs split by low id bits, fileIDs by
 ///   low bucket-index bits (see [`etw_anonymize::shard`]). One shard
-///   owns both id spaces whole.
-/// * The assembler gathers every shard's resolutions in batch order,
-///   remaps the provisionals to global appearance orders, constructs the
-///   records with allocation reuse, and fills checkpoint cuts with its
-///   orders.
+///   owns both id spaces whole. Each shard answers a batch with its
+///   resolutions and passes a cut on unchanged, into its own ordered
+///   output queue.
+/// * The assembler reads the S output queues in lockstep, so each round
+///   is one batch or one cut. It remaps a batch's provisionals to global
+///   appearance orders, constructs the records with allocation reuse,
+///   and fills a cut with its orders.
 /// * The write stage encodes each batch into one reused byte buffer
 ///   with [`encode::encode_batch`] — byte-identical to
 ///   [`DatasetWriter::write_record`], zero heap allocations per record
@@ -886,15 +888,11 @@ where
             metered_bounded::<FormatItem>(tail.batch_queue, registry, "write_in");
         // etwlint: allow(no-unbounded-channel): bounded recycling pool, not a work queue — try_send/try_recv only, never blocks
         let (rec_pool_tx, rec_pool_rx) = crossbeam::channel::bounded::<Vec<AnonRecord>>(pool_cap);
+        // The shard batches also fill the shards' output queues: a pool
+        // smaller than the batches in flight drops and reallocates them.
+        let batch_cap = pool_cap + SHARD_OUT_QUEUE;
         // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
-        let (batch_pool_tx, batch_pool_rx) = crossbeam::channel::bounded::<ShardBatch>(pool_cap);
-        // The resolution-vector pool is shared by all shard workers, so
-        // it is a mutexed free-list rather than a channel (the channel
-        // stub is single-consumer). Uncontended in steady state: shards
-        // pop, the assembler pushes, each holds the lock for two Vec
-        // moves.
-        let res_pool: ResPool =
-            std::sync::Arc::new(std::sync::Mutex::new(Vec::with_capacity(2 * n_shards + 2)));
+        let (batch_pool_tx, batch_pool_rx) = crossbeam::channel::bounded::<ShardBatch>(batch_cap);
         for _ in 0..pool_cap {
             let _ = rec_pool_tx.try_send(Vec::with_capacity(tail.batch_records));
         }
@@ -911,22 +909,26 @@ where
 
         // Shard pool: every worker owns a disjoint slice of both id
         // spaces and resolves each batch independently — no shared
-        // state, no locks. All input channels share the "shard_in"
-        // metrics (like "decode_in"); results funnel into "shard_out".
-        let (shard_out_tx, shard_out_rx) =
-            metered_bounded::<ShardResult>(2 * n_shards, registry, "shard_out");
+        // state, no locks. Each shard has one ordered input queue and
+        // one ordered output queue; all shards' queues share the
+        // "shard_in" and "shard_out" metrics (like "decode_in"), and
+        // each shard gets its resolution vectors back on its own pool.
         let mut shard_txs = Vec::with_capacity(n_shards);
+        let mut shard_outs = Vec::with_capacity(n_shards);
         let mut shard_handles = Vec::with_capacity(n_shards);
         for (sindex, mut set) in shard_sets.into_iter().enumerate() {
-            let (tx, rx) = metered_bounded::<std::sync::Arc<ShardBatch>>(
+            let (tx, rx) = metered_bounded::<ShardItem<Arc<ShardBatch>>>(
                 tail.batch_queue,
                 registry,
                 "shard_in",
             );
+            let (out, out_rx) =
+                metered_bounded::<ShardItem<Resolved>>(SHARD_OUT_QUEUE, registry, "shard_out");
+            // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
+            let (res_back, res_pool) = crossbeam::channel::bounded::<ResVecs>(SHARD_OUT_QUEUE + 2);
             let lane_metrics = shard_lane_metrics(registry, sindex);
             shard_txs.push((tx, lane_metrics.queue_depth.clone()));
-            let out = shard_out_tx.clone();
-            let res_pool = res_pool.clone();
+            shard_outs.push((out_rx, res_back));
             let trace = StageTrace::new(
                 registry,
                 StageId::Shard,
@@ -936,30 +938,30 @@ where
             );
             let handle = spawn_stage(scope, StageId::Shard, Some(sindex), move || {
                 let mut pt = trace.begin();
-                while let Ok(batch) = rx.recv() {
+                while let Ok(item) = rx.recv() {
                     lane_metrics.queue_depth.add(-1);
                     let w0 = trace.service_begin(&mut pt);
-                    let (mut cres, mut fres) = res_pool
-                        .lock()
-                        // etwlint: allow(no-panic-hot-path): lock poisoning implies another pipeline thread already panicked
-                        .expect("res pool poisoned")
-                        .pop()
-                        .unwrap_or_default();
-                    set.resolve_batch(&batch.client_ids, &batch.file_ids, &mut cres, &mut fres);
-                    lane_metrics.client_ids.add(cres.len() as u64);
-                    lane_metrics.file_ids.add(fres.len() as u64);
-                    let last_us = batch.msgs.last().map_or(0, |d| d.ts.0);
-                    let r = ShardResult {
-                        seq: batch.seq,
-                        clients: cres,
-                        files: fres,
+                    let (answer, arg, virtual_us) = match item {
+                        ShardItem::Batch(batch) => {
+                            let (mut clients, mut files) = res_pool.try_recv().unwrap_or_default();
+                            set.resolve_batch(
+                                &batch.client_ids,
+                                &batch.file_ids,
+                                &mut clients,
+                                &mut files,
+                            );
+                            lane_metrics.client_ids.add(clients.len() as u64);
+                            lane_metrics.file_ids.add(files.len() as u64);
+                            let (arg, last_us) = batch.span_args();
+                            (ShardItem::Batch((batch, (clients, files))), arg, last_us)
+                        }
+                        ShardItem::Cut(at) => {
+                            (ShardItem::Cut(at), at.records as u32, at.virtual_us)
+                        }
                     };
-                    // Released before the send, so the assembler holds
-                    // the last handle once every result is in.
-                    drop(batch);
-                    let busy = trace.service_end(&mut pt, r.seq as u32, last_us, w0);
+                    let busy = trace.service_end(&mut pt, arg, virtual_us, w0);
                     lane_metrics.busy_ns.add(busy);
-                    if out.send(r).is_err() {
+                    if out.send(answer).is_err() {
                         break;
                     }
                     pt = trace.begin();
@@ -968,13 +970,14 @@ where
             });
             shard_handles.push(handle);
         }
-        drop(shard_out_tx);
 
-        // Assembler: strict batch order. For each batch, gather all
-        // shards' resolutions (stashing early arrivals for later seqs),
-        // scatter + remap to final appearance orders, construct records
-        // in place, and hand them to the write stage.
-        let (asm_tx, asm_rx) = metered_bounded::<AsmItem>(tail.batch_queue, registry, "asm_in");
+        // Assembler: one round per item, reading the shards' output
+        // queues in lockstep. Every shard passes its items on in the
+        // order it got them, so the round holds every shard's answer to
+        // one batch, or one cut S times. A batch is scattered, remapped
+        // to final appearance orders and constructed into records in
+        // place; a cut is filled with the orders. Either goes on to the
+        // write stage.
         let asm_trace = StageTrace::new(
             registry,
             StageId::Assemble,
@@ -984,64 +987,22 @@ where
         );
         let asm_thread = spawn_stage(scope, StageId::Assemble, None, move || {
             let mut asm = assembler;
-            let mut stash: BTreeMap<u64, Vec<ShardResult>> = BTreeMap::new();
-            let mut failed = false;
+            let mut round: Vec<Resolved> = Vec::with_capacity(n_shards);
             let mut pt = asm_trace.begin();
-            while let Ok(item) = asm_rx.recv() {
-                match item {
-                    AsmItem::Batch(arc) => {
-                        let mut got = stash.remove(&arc.seq).unwrap_or_default();
-                        while got.len() < n_shards {
-                            match shard_out_rx.recv() {
-                                Ok(r) if r.seq == arc.seq => got.push(r),
-                                Ok(r) => stash.entry(r.seq).or_default().push(r),
-                                // Shards only hang up early on panic;
-                                // stop assembling, keep draining.
-                                Err(_) => break,
-                            }
-                        }
-                        if got.len() < n_shards {
-                            failed = true;
-                        }
-                        if failed {
-                            continue;
-                        }
-                        // The pooled record vector keeps its previous
-                        // batch's records: construct overwrites them in
-                        // place (see anonymize_batch_reuse).
-                        let mut recs = rec_pool_rx.try_recv().unwrap_or_default();
-                        let w0 = asm_trace.service_begin(&mut pt);
-                        asm.begin_batch(arc.client_ids.len(), arc.file_ids.len());
-                        for r in &got {
-                            asm.apply_clients(&r.clients);
-                            asm.apply_files(&r.files);
-                        }
-                        asm.finish_batch(&arc.client_ids, &arc.file_ids);
-                        asm.construct(arc.msgs.iter().map(|d| (d.ts.0, d.peer, &d.msg)), &mut recs);
-                        {
-                            // etwlint: allow(no-panic-hot-path): lock
-                            // poisoning implies a prior panic, as above.
-                            let mut pool = res_pool.lock().expect("res pool poisoned");
-                            for r in got {
-                                if pool.len() < 2 * n_shards + 2 {
-                                    pool.push((r.clients, r.files));
-                                }
-                            }
-                        }
-                        let (bseq, last_us) = (arc.seq, arc.msgs.last().map_or(0, |d| d.ts.0));
-                        // Every shard dropped its handle before sending
-                        // its result; reclaim the batch buffers.
-                        if let Ok(b) = std::sync::Arc::try_unwrap(arc) {
-                            let _ = batch_pool_tx.try_send(b);
-                        }
-                        asm_trace.service_end(&mut pt, bseq as u32, last_us, w0);
-                        failed = write_tx.send(FormatItem::Batch(recs)).is_err();
+            'rounds: loop {
+                let mut cut = None;
+                for (rx, _) in &shard_outs {
+                    match rx.recv() {
+                        Ok(ShardItem::Batch(r)) => round.push(r),
+                        Ok(ShardItem::Cut(at)) => cut = Some(at),
+                        // The outbox hung up, or a shard panicked.
+                        Err(_) => break 'rounds,
                     }
-                    AsmItem::Checkpoint(at) => {
-                        if failed {
-                            continue;
-                        }
-                        let w0 = asm_trace.service_begin(&mut pt);
+                }
+                debug_assert!(cut.is_none() || round.is_empty(), "shards out of step");
+                let w0 = asm_trace.service_begin(&mut pt);
+                let item = match cut {
+                    Some(at) => {
                         let cp = PipelineCheckpoint::at(
                             at,
                             // etwlint: allow(no-alloc-hot-loop): checkpoint cut — runs once per interval, not per record
@@ -1050,8 +1011,44 @@ where
                             asm.file_order().to_vec(),
                         );
                         asm_trace.service_end(&mut pt, at.records as u32, at.virtual_us, w0);
-                        failed = write_tx.send(FormatItem::Checkpoint(cp)).is_err();
+                        FormatItem::Checkpoint(cp)
                     }
+                    None => {
+                        let batch = &round[0].0;
+                        debug_assert!(round.iter().all(|(b, _)| Arc::ptr_eq(b, batch)));
+                        // The pooled record vector keeps its previous
+                        // batch's records: construct overwrites them in
+                        // place (see anonymize_batch_reuse).
+                        let mut recs = rec_pool_rx.try_recv().unwrap_or_default();
+                        asm.begin_batch(batch.client_ids.len(), batch.file_ids.len());
+                        for (_, (clients, files)) in &round {
+                            asm.apply_clients(clients);
+                            asm.apply_files(files);
+                        }
+                        asm.finish_batch(&batch.client_ids, &batch.file_ids);
+                        asm.construct(
+                            batch.msgs.iter().map(|d| (d.ts.0, d.peer, &d.msg)),
+                            &mut recs,
+                        );
+                        let (arg, last_us) = batch.span_args();
+                        // Each shard gets its vectors back; the batch's
+                        // last handle reclaims its buffers.
+                        let mut last = None;
+                        for ((batch, res), (_, res_back)) in round.drain(..).zip(&shard_outs) {
+                            let _ = res_back.try_send(res);
+                            last = Some(batch);
+                        }
+                        let reclaimed = last.map(Arc::try_unwrap);
+                        debug_assert!(matches!(reclaimed, Some(Ok(_))), "batch handle leaked");
+                        if let Some(Ok(b)) = reclaimed {
+                            let _ = batch_pool_tx.try_send(b);
+                        }
+                        asm_trace.service_end(&mut pt, arg, last_us, w0);
+                        FormatItem::Batch(recs)
+                    }
+                };
+                if write_tx.send(item).is_err() {
+                    break;
                 }
                 pt = asm_trace.begin();
             }
@@ -1063,11 +1060,9 @@ where
         let mut outbox = Outbox {
             cur: ShardBatch::with_capacity(tail.batch_records),
             items: Vec::new(),
-            batch_seq: 0,
             batch_records: tail.batch_records,
             pool: batch_pool_rx,
             shards: shard_txs,
-            asm: asm_tx,
         };
         let emit = |step: Step| {
             match step {
@@ -1351,7 +1346,10 @@ where
                     continue;
                 }
             }
-            let w = route(&frame.bytes, n_workers);
+            // Fragments of one datagram share a key, so they land on
+            // one worker; frames too short to carry a key go to worker
+            // 0, which counts them as parse errors.
+            let w = fragment_key(&frame.bytes).map_or(0, |h| (h % n_workers as u64) as usize);
             batches[w].push((seq, frame));
             if batches[w].len() >= FRAME_BATCH {
                 let full = std::mem::replace(&mut batches[w], Vec::with_capacity(FRAME_BATCH));
@@ -1390,7 +1388,7 @@ where
         stats.udp_datagrams += w.udp_datagrams;
         stats.fragmented_datagrams += w.fragmented_datagrams;
         stats.decoder.merge(&w.decoder);
-        merge_reassembly(&mut stats.reassembly, &w.reassembly);
+        stats.reassembly.merge(&w.reassembly);
     }
     count_reorder_holes(&mut stats, drained, registry);
     (stats, live)
@@ -1490,7 +1488,7 @@ fn worker_loop(
                                 // crash mid-frame may have left reassembly
                                 // or stream state poisoned.
                                 ws.decoder.merge(&decoder.stats());
-                                merge_reassembly(&mut ws.reassembly, &wire.reassembly_stats());
+                                ws.reassembly.merge(&wire.reassembly_stats());
                                 wire = WireDecoder::new();
                                 decoder = Decoder::new();
                                 trace.event_dump(
@@ -1530,7 +1528,7 @@ fn worker_loop(
         pt = trace.begin();
     }
     ws.decoder.merge(&decoder.stats());
-    merge_reassembly(&mut ws.reassembly, &wire.reassembly_stats());
+    ws.reassembly.merge(&wire.reassembly_stats());
     ws
 }
 
@@ -1587,32 +1585,6 @@ fn decode_payload(
         | DecodeOutcome::DecodeFailed(_)
         | DecodeOutcome::NotEdonkey => None,
     }
-}
-
-/// Routing key: hash of (src, dst, ident) straight out of the IP header
-/// bytes, so fragments of one datagram always share a worker. Frames too
-/// short to carry an IP header all go to worker 0 (they will be counted
-/// as parse errors there).
-fn route(frame: &[u8], n_workers: usize) -> usize {
-    if frame.len() < 34 {
-        return 0;
-    }
-    // Ethernet header is 14 bytes; IPv4: ident at +4, src at +12, dst at +16.
-    let ip = &frame[14..];
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-    for &b in ip[4..6].iter().chain(&ip[12..20]) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h % n_workers as u64) as usize
-}
-
-fn merge_reassembly(a: &mut ReassemblyStats, b: &ReassemblyStats) {
-    a.whole += b.whole;
-    a.fragments += b.fragments;
-    a.reassembled += b.reassembled;
-    a.timed_out += b.timed_out;
-    a.duplicates += b.duplicates;
 }
 
 /// Sets `stats.reorder_holes` once [`run_front`] has joined the
@@ -2310,7 +2282,7 @@ mod tests {
             assert!(cid_sum >= stats.records);
             assert!(stats.fileid_probes.inserts > 0 && stats.fileid_probes.probes > 0);
             // Every tail queue fully drained at exit.
-            for chan in ["write_in", "shard_in", "shard_out", "asm_in"] {
+            for chan in ["write_in", "shard_in", "shard_out"] {
                 assert_eq!(
                     snap.gauge(&format!("chan.{chan}.depth")),
                     0,
@@ -2425,8 +2397,8 @@ mod tests {
     #[test]
     fn blocked_fan_out_is_a_channel_stall_not_reorder_time() {
         // The slow disk backs the tail up to the reorder stage, whose
-        // fan-out blocks on shard_in and asm_in. The reorder span has
-        // closed before those sends, so the time is the channels'.
+        // fan-out blocks on shard_in. The reorder span has closed before
+        // those sends, so the time is the channel's.
         let registry = Registry::new();
         let tail = TailConfig {
             batch_records: 8,
@@ -2440,8 +2412,7 @@ mod tests {
         run_capture_pipeline_batched(frames, 2, scheme, &registry, &opts, tail, writer, |_, _| {})
             .unwrap();
         let snap = registry.snapshot();
-        let stalled = snap.counter("chan.shard_in.stall_ns_total")
-            + snap.counter("chan.asm_in.stall_ns_total");
+        let stalled = snap.counter("chan.shard_in.stall_ns_total");
         assert!(stalled > 10_000_000, "fan-out stalled {stalled} ns");
         let reorder = snap.histogram("stage.reorder.latency_ns").unwrap().sum;
         assert!(

@@ -194,6 +194,38 @@ pub fn tcp_noise_frame_bytes(src: u32, dst: u32, payload_len: usize) -> Vec<u8> 
     out
 }
 
+/// Ethernet header length: the IPv4 header starts here in every frame
+/// [`datagram_frames`] and [`tcp_noise_frame_bytes`] write.
+const ETH_LEN: usize = 14;
+/// Ethernet plus a minimal IPv4 header: the shortest frame the
+/// fixed-offset readers below accept.
+const ETH_IP_LEN: usize = ETH_LEN + 20;
+
+/// Which way a frame travels, read from its IPv4 destination at the
+/// fixed offset [`datagram_frames`] writes it to: toward [`SERVER_IP`]
+/// or away from it. `None` for a frame too short to hold an IPv4 header.
+pub fn frame_direction(frame: &[u8]) -> Option<Direction> {
+    let dst = frame.get(ETH_LEN + 16..ETH_IP_LEN)?;
+    Some(if *dst == SERVER_IP.to_be_bytes() {
+        Direction::ToServer
+    } else {
+        Direction::FromServer
+    })
+}
+
+/// FNV-1a hash of a frame's IPv4 ident, source and destination, read at
+/// their fixed offsets, so every fragment of one datagram has the same
+/// key. `None` for a frame too short to hold an IPv4 header.
+pub fn fragment_key(frame: &[u8]) -> Option<u64> {
+    let ip = frame.get(ETH_LEN..ETH_IP_LEN)?;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in ip[4..6].iter().chain(&ip[12..20]) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    Some(h)
+}
+
 /// What the capture machine recovers from one frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Recovered {
@@ -449,6 +481,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fixed_offset_readers_match_the_written_layout() {
+        // 4 000 B at MTU 1 500: three fragments of one datagram.
+        let frames = |dir, ident| -> Vec<Vec<u8>> {
+            encapsulate(vec![0xe3; 4_000], ClientId(7), 4672, dir, ident, 1500)
+                .iter()
+                .map(EthernetFrame::to_bytes)
+                .collect()
+        };
+        for dir in [Direction::ToServer, Direction::FromServer] {
+            let datagram = frames(dir, 9);
+            assert_eq!(datagram.len(), 3);
+            for f in &datagram {
+                assert_eq!(frame_direction(f), Some(dir));
+                assert_eq!(fragment_key(f), fragment_key(&datagram[0]));
+            }
+            assert_ne!(
+                fragment_key(&frames(dir, 10)[0]),
+                fragment_key(&datagram[0])
+            );
+        }
+        assert_eq!(frame_direction(&[0; ETH_IP_LEN - 1]), None);
+        assert_eq!(fragment_key(&[0; ETH_IP_LEN - 1]), None);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! The pipeline's differential tests prove the sharded tail
 //! byte-identical to the serial anonymiser on the schedules the OS
 //! happens to produce. These models check *all* schedules of the
-//! shard/assembler protocol at its real atomicity: a shard's
-//! `resolve_batch` is one linearizable unit (the shard owns its state
-//! exclusively), and the assembler's gather-remap-finish for one batch
-//! is one unit on the assembler thread (it blocks until every shard's
-//! result for that batch has arrived). The invariants are the
+//! shard/assembler protocol at its real atomicity. Every shard gets
+//! every item in capture order: two batches with a checkpoint cut
+//! between them. A shard's `resolve_batch` is one linearizable unit (the
+//! shard owns its state exclusively), and so is passing the cut on. The
+//! assembler reads the shards' ordered outputs in lockstep: one round
+//! per item, one unit on the assembler thread (it blocks until every
+//! shard's answer to that item has arrived). The invariants are the
 //! protocol's conservation laws:
 //!
 //! * **disjoint ownership** — no id-array index is resolved by two
@@ -15,7 +17,10 @@
 //! * **order-of-appearance** — after every assembled batch, the global
 //!   appearance orders equal the serial anonymiser's prefix exactly,
 //!   regardless of how shard resolutions interleaved;
-//! * **completeness** — every schedule assembles every batch, and ends
+//! * **the cut** — every shard passes the cut on in order, and the
+//!   assembler's orders at the cut equal the serial orders of the
+//!   batch before it;
+//! * **completeness** — every schedule assembles every item, and ends
 //!   with orders identical to the serial run over the concatenated
 //!   stream.
 //!
@@ -27,9 +32,14 @@ use etw_anonymize::fileid::{ByteSelector, FileIdAnonymizer};
 use etw_anonymize::{build_sharded, Assembler, DirectArrayAnonymizer, ShardSet};
 use etw_edonkey::ids::{ClientId, FileId};
 use etw_interleave::{multinomial, Model, Step};
+use std::rc::Rc;
 
 const WIDTH_BITS: u32 = 8;
 const SELECTOR: ByteSelector = ByteSelector::FIRST_TWO;
+
+/// Items in capture order: the cut sits between the two batches.
+const CUT_AT: usize = 1;
+const ITEMS: usize = 3;
 
 /// The staged id streams the sequential stage would fan out: two
 /// batches with repeats within and across batches, touching both
@@ -61,82 +71,117 @@ fn serial_orders(batches: &[(Vec<u32>, Vec<FileId>)]) -> (Vec<u32>, Vec<FileId>)
     (clients.appearance_order(), files.appearance_order())
 }
 
-/// One shard's sparse resolutions for one batch: `(index, provisional)`
-/// pairs for clientIDs and fileIDs.
-type Resolution = (Vec<(u32, u32)>, Vec<(u32, u64)>);
+/// One shard's answer to one item, waiting in its output queue.
+enum Answer {
+    /// Sparse resolutions for a batch: `(index, provisional)` pairs for
+    /// clientIDs and fileIDs.
+    Resolved(Vec<(u32, u32)>, Vec<(u32, u64)>),
+    /// The cut, passed on unchanged.
+    Cut,
+}
 
-/// Shared state: the shard pool, the in-flight results ("channels"),
+/// What every schedule must reproduce: the serial orders over the
+/// whole stream, and over the batches before the cut.
+struct Expected {
+    clients: Vec<u32>,
+    files: Vec<FileId>,
+    at_cut: (Vec<u32>, Vec<FileId>),
+}
+
+/// Shared state: the shard pool, the in-flight answers ("channels"),
 /// the assembler, and the bookkeeping the invariants read.
 struct ShardPipe {
     batches: Vec<(Vec<u32>, Vec<FileId>)>,
     shards: Vec<ShardSet>,
-    /// `results[batch][shard]`: resolution delivered, not yet consumed.
-    results: Vec<Vec<Option<Resolution>>>,
-    /// Per shard, the next batch it will resolve (program order).
+    /// `answers[item][shard]`: delivered, not yet consumed.
+    answers: Vec<Vec<Option<Answer>>>,
+    /// Per shard, the next item it will handle (program order).
     resolved_upto: Vec<usize>,
     asm: Assembler,
-    /// Batches fully assembled so far (strictly in sequence).
+    /// Items fully assembled so far (strictly in sequence).
     assembled: usize,
-    expected_clients: Vec<u32>,
-    expected_files: Vec<FileId>,
+    /// The assembler's orders when it took the cut.
+    cut_orders: Option<(Vec<u32>, Vec<FileId>)>,
+    expected: Rc<Expected>,
     /// Protocol violations observed by the steps themselves.
     errors: Vec<String>,
 }
 
 impl ShardPipe {
-    fn new(shards: Vec<ShardSet>, asm: Assembler) -> ShardPipe {
-        let batches = batches();
-        let (expected_clients, expected_files) = serial_orders(&batches);
-        let results = batches
-            .iter()
+    fn new(shards: Vec<ShardSet>, asm: Assembler, expected: Rc<Expected>) -> ShardPipe {
+        let answers = (0..ITEMS)
             .map(|_| shards.iter().map(|_| None).collect())
             .collect();
         let resolved_upto = vec![0; shards.len()];
         ShardPipe {
-            batches,
+            batches: batches(),
             shards,
-            results,
+            answers,
             resolved_upto,
             asm,
             assembled: 0,
-            expected_clients,
-            expected_files,
+            cut_orders: None,
+            expected,
             errors: Vec::new(),
         }
     }
 
-    /// The assembler's per-batch unit: a no-op while any shard's result
-    /// for the next batch is outstanding (the real thread blocks on the
-    /// channel), else gather, remap, and check the order prefix.
+    /// The assembler's per-item round: a no-op while any shard's answer
+    /// to the next item is outstanding (the real thread blocks on that
+    /// shard's queue), else take the round. A round of cuts records the
+    /// orders; a round of resolutions gathers, remaps, and checks the
+    /// order prefix.
     fn try_assemble(&mut self) -> bool {
-        if self.assembled >= self.batches.len() {
+        if self.assembled >= ITEMS {
             return false;
         }
-        let b = self.assembled;
-        if self.results[b].iter().any(|r| r.is_none()) {
+        let item = self.assembled;
+        if self.answers[item].iter().any(|a| a.is_none()) {
             return false;
         }
+        self.assembled += 1;
+        let round: Vec<Answer> = self.answers[item]
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect();
+        if round.iter().all(|a| matches!(a, Answer::Cut)) {
+            let orders = (
+                self.asm.client_order().to_vec(),
+                self.asm.file_order().to_vec(),
+            );
+            if orders != self.expected.at_cut {
+                self.errors.push(format!(
+                    "orders at the cut {:?} are not batch 0's serial orders",
+                    orders.0
+                ));
+            }
+            self.cut_orders = Some(orders);
+            return true;
+        }
+        let b = if item < CUT_AT { item } else { item - 1 };
         let (cids, fids) = &self.batches[b];
         self.asm.begin_batch(cids.len(), fids.len());
-        for slot in 0..self.results[b].len() {
-            let (c, f) = self.results[b][slot].take().expect("checked above");
+        for answer in round {
+            let Answer::Resolved(c, f) = answer else {
+                self.errors
+                    .push(format!("round {item} mixes a cut with resolutions"));
+                return true;
+            };
             self.asm.apply_clients(&c);
             self.asm.apply_files(&f);
         }
         let (cids, fids) = &self.batches[b];
         self.asm.finish_batch(cids, fids);
-        self.assembled += 1;
+        let (clients, files) = (&self.expected.clients, &self.expected.files);
         let nc = self.asm.client_order().len();
-        if nc > self.expected_clients.len()
-            || self.asm.client_order() != &self.expected_clients[..nc]
-        {
+        if nc > clients.len() || self.asm.client_order() != &clients[..nc] {
             self.errors.push(format!(
                 "after batch {b} client order {:?} is not a serial prefix",
                 self.asm.client_order()
             ));
         }
         let nf = self.asm.file_order().len();
-        if nf > self.expected_files.len() || self.asm.file_order() != &self.expected_files[..nf] {
+        if nf > files.len() || self.asm.file_order() != &files[..nf] {
             self.errors
                 .push(format!("after batch {b} file order is not a serial prefix"));
         }
@@ -144,17 +189,23 @@ impl ShardPipe {
     }
 }
 
-/// Shard `s`'s next `resolve_batch` call, checking that no index it
-/// resolves was already claimed by another shard's delivered result.
+/// Shard `s`'s next item: the cut, passed on, or a `resolve_batch`
+/// call, checking that no index it resolves was already claimed by
+/// another shard's delivered answer.
 fn shard_step(s: usize) -> Step<ShardPipe> {
     Box::new(move |st: &mut ShardPipe| {
-        let b = st.resolved_upto[s];
+        let item = st.resolved_upto[s];
         st.resolved_upto[s] += 1;
+        if item == CUT_AT {
+            st.answers[item][s] = Some(Answer::Cut);
+            return;
+        }
+        let b = if item < CUT_AT { item } else { item - 1 };
         let (mut c, mut f) = (Vec::new(), Vec::new());
         let (cids, fids) = &st.batches[b];
         st.shards[s].resolve_batch(cids, fids, &mut c, &mut f);
-        for other in 0..st.results[b].len() {
-            if let Some((oc, of)) = &st.results[b][other] {
+        for other in 0..st.answers[item].len() {
+            if let Some(Answer::Resolved(oc, of)) = &st.answers[item][other] {
                 for (idx, _) in &c {
                     if oc.iter().any(|(o, _)| o == idx) {
                         st.errors.push(format!(
@@ -171,7 +222,7 @@ fn shard_step(s: usize) -> Step<ShardPipe> {
                 }
             }
         }
-        st.results[b][s] = Some((c, f));
+        st.answers[item][s] = Some(Answer::Resolved(c, f));
     })
 }
 
@@ -182,24 +233,32 @@ fn assembler_step() -> Step<ShardPipe> {
 }
 
 fn model(make_shards: impl Fn() -> (Vec<ShardSet>, Assembler) + 'static) -> Model<ShardPipe> {
-    let n_batches = batches().len();
     let n_shards = make_shards().0.len();
+    // The serial runs are the same on every schedule: run them once.
+    let all = batches();
+    let (clients, files) = serial_orders(&all);
+    let expected = Rc::new(Expected {
+        clients,
+        files,
+        at_cut: serial_orders(&all[..CUT_AT]),
+    });
     let mut m = Model::new(move || {
         let (shards, asm) = make_shards();
-        ShardPipe::new(shards, asm)
+        ShardPipe::new(shards, asm, Rc::clone(&expected))
     });
     for s in 0..n_shards {
         m = m.thread(
             &format!("shard{s}"),
-            (0..n_batches).map(|_| shard_step(s)).collect(),
+            (0..ITEMS).map(|_| shard_step(s)).collect(),
         );
     }
     m.thread(
         "assembler",
-        // Twice the batch count: slack so the assembler can poll early
-        // (a no-op models its blocking recv) and still finish inline on
-        // most schedules.
-        (0..2 * n_batches).map(|_| assembler_step()).collect(),
+        // One step per item. A round taken before its answers are all
+        // in is a no-op (it models the blocking recv), and the final
+        // check drains what is left, so every point at which a round
+        // can be taken is still explored.
+        (0..ITEMS).map(|_| assembler_step()).collect(),
     )
     .invariant("no protocol violations", |st| {
         if st.errors.is_empty() {
@@ -214,34 +273,33 @@ fn model(make_shards: impl Fn() -> (Vec<ShardSet>, Assembler) + 'static) -> Mode
             Ok(())
         } else {
             Err(format!(
-                "assembled {} batches but a shard has only resolved {slowest}",
+                "assembled {} items but a shard has only handled {slowest}",
                 st.assembled
             ))
         }
     })
-    .check_final("all batches assemble to the serial orders", |st| {
+    .check_final("all items assemble to the serial orders", |st| {
         // Drain: schedules that front-loaded the assembler's steps left
         // work pending — the real thread would still be blocked on its
-        // channel, so finish it now.
+        // queues, so finish it now.
         while st.try_assemble() {}
-        if st.assembled != st.batches.len() {
-            return Err(format!(
-                "only {} of {} batches assembled",
-                st.assembled,
-                st.batches.len()
-            ));
+        if st.assembled != ITEMS {
+            return Err(format!("only {} of {ITEMS} items assembled", st.assembled));
         }
         if !st.errors.is_empty() {
             return Err(st.errors.join("; "));
         }
-        if st.asm.client_order() != st.expected_clients {
+        if st.cut_orders.as_ref() != Some(&st.expected.at_cut) {
+            return Err("the cut's orders diverge from batch 0's serial orders".into());
+        }
+        if st.asm.client_order() != st.expected.clients {
             return Err(format!(
                 "final client order {:?} != serial {:?}",
                 st.asm.client_order(),
-                st.expected_clients
+                st.expected.clients
             ));
         }
-        if st.asm.file_order() != st.expected_files {
+        if st.asm.file_order() != st.expected.files {
             return Err("final file order diverges from serial".into());
         }
         Ok(())
@@ -255,8 +313,8 @@ fn sharded_resolution_conserves_serial_orders_on_every_schedule() {
         (shards, asm)
     });
     let report = m.run().unwrap_or_else(|v| panic!("{v}"));
-    // Thread lengths: 2 shards × 2 batches, assembler 2 × 2 steps.
-    assert_eq!(report.schedules, multinomial(&[2, 2, 4]));
+    // Thread lengths: 2 shards × 3 items, assembler 1 step per item.
+    assert_eq!(report.schedules, multinomial(&[3, 3, 3]));
 }
 
 #[test]

@@ -106,6 +106,18 @@ pub struct ReassemblyStats {
     pub duplicates: u64,
 }
 
+impl ReassemblyStats {
+    /// Merges counters from another reassembler (used when decoding is
+    /// sharded across worker threads).
+    pub fn merge(&mut self, other: &ReassemblyStats) {
+        self.whole += other.whole;
+        self.fragments += other.fragments;
+        self.reassembled += other.reassembled;
+        self.timed_out += other.timed_out;
+        self.duplicates += other.duplicates;
+    }
+}
+
 /// Hole-filling IPv4 reassembler with timeout.
 pub struct Reassembler {
     partials: HashMap<FragKey, Partial>,

@@ -101,22 +101,25 @@ impl<W: Write> DatasetWriter<W> {
     /// tail: `bytes` must be the exact [`crate::encode`] rendering of
     /// `records` records (the encoder is byte-identical to
     /// [`write_record`](Self::write_record), so offsets and the record
-    /// counter stay consistent with the serial path).
+    /// counter stay consistent with the serial path). The records count
+    /// only once all their bytes are written.
     // etwlint: sink(xml): bytes written to the dataset output
     pub fn write_encoded(&mut self, bytes: &[u8], records: u64) -> io::Result<()> {
         debug_assert!(!self.closed);
+        self.o().write_all(bytes)?;
         self.records += records;
-        self.o().write_all(bytes)
+        Ok(())
     }
 
-    /// Writes one dialog record.
+    /// Writes one dialog record; it counts only once written whole.
     // etwlint: sink(xml): record serialised into the dataset output
     pub fn write_record(&mut self, r: &AnonRecord) -> io::Result<()> {
         debug_assert!(!self.closed);
-        self.records += 1;
         write!(self.o(), "<dialog ts=\"{}\" peer=\"{}\">", r.ts_us, r.peer)?;
         self.write_msg(&r.msg)?;
-        self.o().write_all(b"</dialog>\n")
+        self.o().write_all(b"</dialog>\n")?;
+        self.records += 1;
+        Ok(())
     }
 
     fn write_msg(&mut self, m: &AnonMessage) -> io::Result<()> {
@@ -364,6 +367,51 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn failed_write_counts_no_records() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Mutex};
+        /// A shared sink that refuses one write when told to, then
+        /// accepts again.
+        #[derive(Clone, Default)]
+        struct Flaky(Arc<Mutex<Vec<u8>>>, Arc<AtomicBool>);
+        impl std::io::Write for Flaky {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.1.swap(false, Ordering::Relaxed) {
+                    return Err(std::io::Error::other("disk full"));
+                }
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let sink = Flaky::default();
+        let mut batch = Vec::new();
+        crate::encode::encode_batch(&mut batch, &vec![sample_record(); 256]);
+        {
+            let mut w = DatasetWriter::new(sink.clone()).unwrap();
+            w.write_record(&sample_record()).unwrap();
+            sink.1.store(true, Ordering::Relaxed);
+            assert!(w.write_encoded(&batch, 256).is_err());
+            assert_eq!(w.records(), 1, "the refused batch is not counted");
+            sink.1.store(true, Ordering::Relaxed);
+            assert!(w.write_record(&sample_record()).is_err());
+            assert_eq!(w.records(), 1, "the refused record is not counted");
+            // No finish(): the writer is dropped after the error.
+        }
+        let xml = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        assert!(
+            xml.contains("<!-- etw:recovered records=\"1\" -->"),
+            "{xml}"
+        );
+        let got: Vec<AnonRecord> = crate::reader::DatasetReader::new(&xml)
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(got.len(), 1);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!                    run a campaign with live telemetry (--addr: also /health.json + /metrics over HTTP)
 //! etwtool trace-dump <file.etwtrace>         pretty-print a flight-recorder dump
 //! etwtool trace-check [--dir DIR]            faulty campaign must produce parseable flight dumps
-//! etwtool lint       [--format text|json|sarif] [--list]   repo-specific static analysis (etwlint)
 //! etwtool checkpoint-inspect <file.etwckpt>  describe a resume checkpoint sidecar
 //! etwtool spec                               print the format specification
 //! ```
@@ -49,7 +48,6 @@ fn main() -> ExitCode {
         Some("monitor") => cmd_monitor(&args[1..]),
         Some("trace-dump") => cmd_trace_dump(&args[1..]),
         Some("trace-check") => cmd_trace_check(&args[1..]),
-        Some("lint") => return cmd_lint(&args[1..]),
         Some("checkpoint-inspect") => cmd_checkpoint_inspect(&args[1..]),
         Some("spec") => {
             println!("{SPEC}");
@@ -57,7 +55,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: etwtool <validate|stats|head|compress|decompress|split|merge|monitor|trace-dump|trace-check|lint|checkpoint-inspect|spec> [args]"
+                "usage: etwtool <validate|stats|head|compress|decompress|split|merge|monitor|trace-dump|trace-check|checkpoint-inspect|spec> [args]"
             );
             return ExitCode::from(2);
         }
@@ -419,104 +417,6 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the repo-specific static-analysis pass (etwlint) over the
-/// workspace — the same catalogue the ci.sh gate enforces.
-///
-/// ```text
-/// etwtool lint [--format text|json|sarif] [--root DIR] [--list]
-/// ```
-///
-/// `--format json` emits the versioned `etwlint-report/1` document;
-/// `--format sarif` a SARIF 2.1.0 log (what ci.sh archives under
-/// `target/ci/`). Exit codes mirror the standalone binary: 0 clean, 1
-/// unsuppressed diagnostics, 2 usage/scan error.
-fn cmd_lint(args: &[String]) -> ExitCode {
-    #[derive(PartialEq)]
-    enum Format {
-        Text,
-        Json,
-        Sarif,
-    }
-    let mut format = Format::Text;
-    let mut list = false;
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => format = Format::Json,
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                Some(other) => {
-                    eprintln!("etwtool lint: unknown format {other:?} (text|json|sarif)");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("etwtool lint: --format needs an argument (text|json|sarif)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--list" => list = true,
-            "--root" => match it.next() {
-                Some(dir) => root = Some(std::path::PathBuf::from(dir)),
-                None => {
-                    eprintln!("etwtool lint: --root needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("etwtool lint: unknown option {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if list {
-        for (name, desc) in etwlint::rule_catalogue() {
-            println!("{name:24} {desc}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    let root = match root.or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|cwd| etwlint::find_workspace_root(&cwd))
-    }) {
-        Some(r) => r,
-        None => {
-            eprintln!("etwtool lint: no workspace Cargo.toml above the current directory");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match etwlint::lint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("etwtool lint: scan failed under {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    match format {
-        Format::Json => println!("{}", etwlint::output::render_json_versioned(&report)),
-        Format::Sarif => println!("{}", etwlint::output::render_sarif(&report)),
-        Format::Text => {
-            for d in &report.diagnostics {
-                println!("{}", d.render());
-            }
-            eprintln!(
-                "etwtool lint: {} file(s) scanned, {} diagnostic(s), {} suppressed",
-                report.files_scanned,
-                report.diagnostics.len(),
-                report.suppressed.len()
-            );
-        }
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// Describes a resume-checkpoint sidecar: the state a killed campaign
 /// restarts from (`repro soak` writes one at every cut).
 fn cmd_checkpoint_inspect(args: &[String]) -> Result<(), String> {
@@ -567,10 +467,10 @@ fn print_status_line(snap: &Snapshot, prev: &Snapshot, refresh_ms: u64, total_se
         snap.counter("stage.write.bytes_total") as f64 / 1e6,
         snap.counter("ring.lost_total"),
         snap.gauge("chan.decode_in.depth"),
-        // Shard-pool vitals: fan-out depth (shard_in + shard_out share
-        // the pool's channels) and the assembler's batch queue.
-        snap.gauge("chan.shard_in.depth") + snap.gauge("chan.shard_out.depth"),
-        snap.gauge("chan.asm_in.depth"),
+        // Shard-pool vitals: the shards' input queues, and their output
+        // queues, which the assembler reads in lockstep.
+        snap.gauge("chan.shard_in.depth"),
+        snap.gauge("chan.shard_out.depth"),
         snap.gauge("chan.write_in.depth"),
         snap.counter("chan.decode_in.stalls_total"),
     );
@@ -624,9 +524,9 @@ fn print_top(
     // (stage, its input-queue depth gauge, the channels it sends into)
     for (stage, queue, outputs) in [
         ("decode", "chan.decode_in.depth", &["decode_out"][..]),
-        ("reorder", "chan.decode_out.depth", &["shard_in", "asm_in"]),
+        ("reorder", "chan.decode_out.depth", &["shard_in"]),
         ("shard", "chan.shard_in.depth", &["shard_out"]),
-        ("assemble", "chan.asm_in.depth", &["write_in"]),
+        ("assemble", "chan.shard_out.depth", &["write_in"]),
         ("write", "chan.write_in.depth", &[]),
     ] {
         let lat_name = format!("stage.{stage}.latency_ns");
