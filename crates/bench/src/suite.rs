@@ -381,13 +381,14 @@ fn bench_decode_only(opts: &SuiteOptions, reps: usize) -> BenchResult {
     let frames = mix_frames(message_mix(n, 0xdec0));
     let (wall_secs, decoded) = time_best_of(reps, || decode_frames(&frames));
     assert!(decoded as usize > n / 2, "decode bench mix mostly failed");
+    let allocs_per_record = measure_allocs(n as u64, &mut || decode_frames(&frames));
     BenchResult {
         name: "decode_only".into(),
         preset: "mix".into(),
         records: n as u64,
         wall_secs,
         records_per_sec: n as f64 / wall_secs,
-        allocs_per_record: None,
+        allocs_per_record,
     }
 }
 

@@ -11,12 +11,20 @@
 //! Decoding is stateless per datagram and parallelises across workers;
 //! the anonymiser is inherently sequential (order-of-appearance encoding
 //! is a running fold), which is precisely why the paper engineered its
-//! O(1) data structures. A sequence-number reorder buffer between the
-//! two restores deterministic capture order regardless of worker
-//! interleaving.
+//! O(1) data structures. A reorder window indexed by sequence number
+//! between the two restores deterministic capture order regardless of
+//! worker interleaving.
+//!
+//! The decode front copies no frame: a worker parses each captured frame
+//! in place ([`WireDecoder`]), and only IP fragments are copied, into
+//! its reassembler. Buffers are freed on the thread that allocated them.
+//! A worker hands each spent frame batch back to the producer, which
+//! built the frames. The writer tail hands each spent message back to
+//! the worker that decoded it. Both return queues are bounded and never
+//! block: a buffer that finds its queue full is freed where it is.
 
 use crate::wirepath::{fragment_key, frame_direction, Direction, Recovered, WireDecoder};
-use bytes::Bytes;
+use crossbeam::channel::{Receiver, Sender};
 use etw_anonymize::fileid::ProbeStats;
 use etw_anonymize::scheme::{AnonRecord, PaperScheme};
 use etw_anonymize::shard::{build_sharded, collect_ids, shard_count_valid, MAX_SHARDS};
@@ -34,7 +42,7 @@ use etw_trace::{
 };
 use etw_xmlout::encode;
 use etw_xmlout::writer::DatasetWriter;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -444,6 +452,9 @@ struct DecodedMsg {
     direction: Direction,
     // etwlint: source(raw-id): decoded message embeds raw ids
     msg: Message,
+    /// The decode worker that allocated `msg`, where the writer tail
+    /// sends it once spent ([`SpentMsgs`]).
+    worker: usize,
 }
 
 /// One decode step, exactly one per input frame: the frame's sequence
@@ -462,6 +473,57 @@ const FRAME_BATCH: usize = 256;
 /// worker-output queue. In frames this bounds roughly the same buffering
 /// as the old per-frame caps (1024 and 4096).
 const FRAME_QUEUE: usize = 8;
+
+/// A frame batch on its way from the producer to a decode worker: each
+/// frame with its sequence number.
+type FrameBatch = Vec<(u64, TimedFrame)>;
+
+/// Messages per run on a decode worker's spent-message queue, and runs
+/// the queue holds. A worker frees its queue only between frame
+/// batches, so the queue takes the runs that arrive while it decodes or
+/// waits on its channels: at four runs, about one run in eight found it
+/// full on steady-2k; at eight, about one in twenty-five.
+const SPENT_RUN: usize = 128;
+const SPENT_QUEUE: usize = 8;
+
+/// The way home for spent messages. The writer tail hands each message
+/// it is done with back to the decode worker that allocated it, in runs
+/// of [`SPENT_RUN`], and the worker frees it on its own thread: the
+/// allocator frees a block from another thread at a higher cost. A run
+/// that finds its worker's queue full, or the worker gone, is dropped
+/// where it is; nothing blocks.
+struct SpentMsgs {
+    runs: Vec<Vec<DecodedMsg>>,
+    homes: Vec<Sender<Vec<DecodedMsg>>>,
+}
+
+impl SpentMsgs {
+    /// One queue per decode worker: the tail's sending side, and the
+    /// receivers [`run_front`] hands the workers.
+    fn new(n_workers: usize) -> (SpentMsgs, Vec<Receiver<Vec<DecodedMsg>>>) {
+        let (homes, receivers) = (0..n_workers)
+            // etwlint: allow(no-unbounded-channel): bounded recycling pool, not a work queue — try_send/try_recv only, never blocks
+            .map(|_| crossbeam::channel::bounded(SPENT_QUEUE))
+            .unzip();
+        let runs = (0..n_workers)
+            .map(|_| Vec::with_capacity(SPENT_RUN))
+            .collect();
+        (SpentMsgs { runs, homes }, receivers)
+    }
+
+    /// Empties `msgs`, sending each message toward its worker.
+    fn send_home(&mut self, msgs: &mut Vec<DecodedMsg>) {
+        for d in msgs.drain(..) {
+            let w = d.worker;
+            let run = &mut self.runs[w];
+            run.push(d);
+            if run.len() >= SPENT_RUN {
+                let full = std::mem::replace(run, Vec::with_capacity(SPENT_RUN));
+                let _ = self.homes[w].try_send(full);
+            }
+        }
+    }
+}
 
 /// Runs the full pipeline over `frames` (the serial tail), invoking
 /// `on_record` for every anonymised record in deterministic capture
@@ -543,6 +605,7 @@ where
         }
         true
     };
+    // Messages die here, after anonymisation: no return queues.
     let (mut stats, _) = crossbeam::thread::scope(|scope| {
         run_front(
             scope,
@@ -551,6 +614,7 @@ where
             registry,
             opts,
             trace_ctx.as_ref(),
+            Vec::new(),
             emit,
         )
     })
@@ -798,9 +862,10 @@ impl Outbox {
 ///                                         construct)
 /// ```
 ///
-/// * The reorder stage, the serial tail's own, restores capture order,
-///   cuts checkpoints and consumes the resume prefix. Inside its span
-///   the tail runs the visit pass ([`collect_ids`]) while staging
+/// * The reorder stage, the serial tail's own, restores capture order
+///   through its window over the sequence space, cuts checkpoints and
+///   consumes the resume prefix. Inside its span the tail runs the
+///   visit pass ([`collect_ids`]) while staging
 ///   [`TailConfig::batch_records`] messages per batch, and queues the
 ///   batches and cuts in an outbox. Once the span has closed, it hands
 ///   every item to every shard, in capture order.
@@ -813,7 +878,8 @@ impl Outbox {
 /// * The assembler reads the S output queues in lockstep, so each round
 ///   is one batch or one cut. It remaps a batch's provisionals to global
 ///   appearance orders, constructs the records with allocation reuse,
-///   and fills a cut with its orders.
+///   and fills a cut with its orders. It then sends the batch's spent
+///   messages back to the decode workers that allocated them.
 /// * The write stage encodes each batch into one reused byte buffer
 ///   with [`encode::encode_batch`] — byte-identical to
 ///   [`DatasetWriter::write_record`], zero heap allocations per record
@@ -985,6 +1051,7 @@ where
                 .as_ref()
                 .map(|c| c.lane(lane_assemble(n_workers), 0)),
         );
+        let (mut spent, spent_queues) = SpentMsgs::new(n_workers);
         let asm_thread = spawn_stage(scope, StageId::Assemble, None, move || {
             let mut asm = assembler;
             let mut round: Vec<Resolved> = Vec::with_capacity(n_shards);
@@ -1038,9 +1105,11 @@ where
                             let _ = res_back.try_send(res);
                             last = Some(batch);
                         }
+                        // Its messages go home to their decode workers.
                         let reclaimed = last.map(Arc::try_unwrap);
                         debug_assert!(matches!(reclaimed, Some(Ok(_))), "batch handle leaked");
-                        if let Some(Ok(b)) = reclaimed {
+                        if let Some(Ok(mut b)) = reclaimed {
+                            spent.send_home(&mut b.msgs);
                             let _ = batch_pool_tx.try_send(b);
                         }
                         asm_trace.service_end(&mut pt, arg, last_us, w0);
@@ -1079,6 +1148,7 @@ where
             registry,
             opts,
             trace_ctx.as_ref(),
+            spent_queues,
             emit,
         );
         if live {
@@ -1133,15 +1203,17 @@ enum Step {
 }
 
 /// The reorder stage both tails share, run on the calling thread. It
-/// restores sequence order over the decode front's batches, cuts each
-/// checkpoint before the first message at or past its boundary,
-/// consumes the resume prefix (the first `ResumePoint::records`
-/// messages) without handing it on, and keeps the sink ledgers (`stats`
-/// and `stage.sink.*`) and the `stage.reorder.depth*` gauges, published
-/// once per span. `emit` returns `false` once the tail's downstream is
-/// gone: the stage then keeps draining, so the decode front never
-/// deadlocks, but hands nothing further on. Returns the sequence steps
-/// drained and whether the downstream is still live.
+/// restores sequence order over the decode front's batches through a
+/// window over the sequence space (slot `i` holds step `next_seq + i`
+/// once it has arrived), cuts each checkpoint before the first message
+/// at or past its boundary, consumes the resume prefix (the first
+/// `ResumePoint::records` messages) without handing it on, and keeps
+/// the sink ledgers (`stats` and `stage.sink.*`) and the
+/// `stage.reorder.depth*` gauges, published once per span. `emit`
+/// returns `false` once the tail's downstream is gone: the stage then
+/// keeps draining, so the decode front never deadlocks, but hands
+/// nothing further on. Returns the sequence steps drained and whether
+/// the downstream is still live.
 fn reorder_stage(
     batches: impl IntoIterator<Item = Vec<WorkerStep>>,
     registry: &Registry,
@@ -1169,16 +1241,28 @@ fn reorder_stage(
     // Messages consumed since *stream* start, skipped ones included,
     // so checkpoint record counts agree between full and resumed runs.
     let mut consumed = 0u64;
-    let mut reorder: BTreeMap<u64, Option<DecodedMsg>> = BTreeMap::new();
+    // The reorder window starts at the next step to hand on and reaches
+    // the furthest step that has arrived; `None` marks a step still in
+    // flight. `held` counts the arrived ones.
+    let mut window: VecDeque<Option<Option<DecodedMsg>>> = VecDeque::new();
+    let mut held = 0usize;
     let mut next_seq = 0u64;
     let mut live = true;
     let mut pt = trace.begin();
     for batch in batches {
         let w0 = trace.service_begin(&mut pt);
         for (seq, decoded) in batch {
-            reorder.insert(seq, decoded);
+            debug_assert!(seq >= next_seq, "sequence step {seq} arrived twice");
+            let i = (seq - next_seq) as usize;
+            if i >= window.len() {
+                window.resize_with(i + 1, || None);
+            }
+            window[i] = Some(decoded);
+            held += 1;
         }
-        while let Some(decoded) = reorder.remove(&next_seq) {
+        while let Some(decoded) = window.front_mut().and_then(Option::take) {
+            window.pop_front();
+            held -= 1;
             next_seq += 1;
             let Some(d) = decoded else { continue };
             if interval > 0 && d.ts.0 >= next_cp {
@@ -1217,10 +1301,9 @@ fn reorder_stage(
             counter.add(now[i] - published[i]);
         }
         published = now;
-        let held = reorder.len() as i64;
-        depth.set(held);
-        if held > depth_hwm.get() {
-            depth_hwm.set(held);
+        depth.set(held as i64);
+        if held as i64 > depth_hwm.get() {
+            depth_hwm.set(held as i64);
         }
         trace.service_end(&mut pt, held as u32, last_ts, w0);
         if live {
@@ -1236,8 +1319,13 @@ fn reorder_stage(
 /// over their output into `emit` on the calling thread, then joins the
 /// front and counts the reorder holes. Fault injection, shedding and
 /// sequence assignment therefore behave identically in the two tails.
-/// Returns the pipeline statistics, all but the tail's probe ledger,
-/// and whether the tail's downstream is still live.
+/// Each worker hands its spent frame batches back to the producer, which
+/// allocated the frames, and frees the spent messages that reach it on
+/// its queue in `spent_queues` (one per worker, or none for a tail that
+/// drops its messages itself). Returns the pipeline statistics, all but
+/// the tail's probe ledger, and whether the tail's downstream is still
+/// live.
+#[allow(clippy::too_many_arguments)]
 fn run_front<'scope, 'env, I>(
     scope: &crossbeam::thread::Scope<'scope, 'env>,
     frames: I,
@@ -1245,6 +1333,7 @@ fn run_front<'scope, 'env, I>(
     registry: &Registry,
     opts: &PipelineOptions,
     trace_ctx: Option<&Arc<TraceCtx>>,
+    spent_queues: Vec<Receiver<Vec<DecodedMsg>>>,
     emit: impl FnMut(Step) -> bool,
 ) -> (PipelineStats, bool)
 where
@@ -1259,6 +1348,15 @@ where
     }
     let (out_tx, out_rx) =
         metered_bounded::<Vec<WorkerStep>>(2 * FRAME_QUEUE, registry, "decode_out");
+    // Spent frame batches go home to the producer. The queue holds every
+    // batch that can be out at once (per worker, a full input queue, one
+    // in the worker's hands and one filling at the producer), so none is
+    // dropped; the producer empties all that have come back each time it
+    // ships a batch.
+    let frames_out = n_workers * (FRAME_QUEUE + 2);
+    // etwlint: allow(no-unbounded-channel): bounded recycling pool, not a work queue — try_send/try_recv only, never blocks
+    let (frames_home, frame_pool) = crossbeam::channel::bounded::<FrameBatch>(frames_out);
+    let mut spent_queues = spent_queues.into_iter();
     let mut worker_txs = Vec::with_capacity(n_workers);
     let mut handles = Vec::with_capacity(n_workers);
     let decoded_frames = registry.counter("stage.decode.frames_total");
@@ -1272,10 +1370,14 @@ where
     for windex in 0..n_workers {
         // All worker input channels share the "decode_in" metrics,
         // so depth reads as batches queued across the stage.
-        let (tx, rx) =
-            metered_bounded::<Vec<(u64, TimedFrame)>>(FRAME_QUEUE, registry, "decode_in");
+        let (tx, rx) = metered_bounded::<FrameBatch>(FRAME_QUEUE, registry, "decode_in");
         worker_txs.push(tx);
-        let out_tx = out_tx.clone();
+        let queues = WorkerQueues {
+            frames_in: rx,
+            steps_out: out_tx.clone(),
+            frames_home: frames_home.clone(),
+            spent: spent_queues.next(),
+        };
         let frames = decoded_frames.clone();
         let trace = StageTrace::new(
             registry,
@@ -1285,15 +1387,16 @@ where
         let supervision = opts
             .faults
             .clone()
-            .map(|plan| (windex, plan, fault_telemetry.clone()));
+            .map(|plan| (plan, fault_telemetry.clone()));
         handles.push(spawn_stage(
             scope,
             StageId::Decode,
             Some(windex),
-            move || worker_loop(rx, out_tx, frames, trace, supervision),
+            move || worker_loop(windex, queues, frames, trace, supervision),
         ));
     }
     drop(out_tx);
+    drop(frames_home);
 
     // Producer: route frames so that all fragments of one datagram
     // land on the same worker (reassembly is per-worker state).
@@ -1316,8 +1419,22 @@ where
         let mut last_shed_us: Option<u64> = None;
         // Per-worker frame batches: routed frames accumulate locally and
         // ship [`FRAME_BATCH`] at a time, so the channel (and on a busy
-        // host, the scheduler) is paid per batch, not per frame.
-        let mut batches: Vec<Vec<(u64, TimedFrame)>> = (0..n_workers)
+        // host, the scheduler) is paid per batch, not per frame. A full
+        // batch is replaced by a spent one a worker has sent back,
+        // emptied here, where its frames were allocated. Every batch
+        // that has come back is emptied at once, so spent frames wait
+        // for the next shipment, not for their batch's reuse.
+        let mut emptied: Vec<FrameBatch> = Vec::new();
+        let mut next_batch = || {
+            while let Some(mut spent) = frame_pool.try_recv() {
+                spent.clear();
+                emptied.push(spent);
+            }
+            emptied
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(FRAME_BATCH))
+        };
+        let mut batches: Vec<FrameBatch> = (0..n_workers)
             .map(|_| Vec::with_capacity(FRAME_BATCH))
             .collect();
         for frame in frames {
@@ -1352,7 +1469,7 @@ where
             let w = fragment_key(&frame.bytes).map_or(0, |h| (h % n_workers as u64) as usize);
             batches[w].push((seq, frame));
             if batches[w].len() >= FRAME_BATCH {
-                let full = std::mem::replace(&mut batches[w], Vec::with_capacity(FRAME_BATCH));
+                let full = std::mem::replace(&mut batches[w], next_batch());
                 worker_txs[w]
                     .send(full)
                     // etwlint: allow(no-panic-hot-path): a worker hanging
@@ -1414,6 +1531,17 @@ fn silence_injected_crashes() {
     });
 }
 
+/// One decode worker's queues: its frame batches in, its steps out, and
+/// the return paths that carry spent buffers home.
+struct WorkerQueues {
+    frames_in: MeteredReceiver<FrameBatch>,
+    steps_out: MeteredSender<Vec<WorkerStep>>,
+    /// Spent frame batches, back to the producer, which allocated them.
+    frames_home: Sender<FrameBatch>,
+    /// Spent messages, back from the writer tail ([`SpentMsgs`]).
+    spent: Option<Receiver<Vec<DecodedMsg>>>,
+}
+
 #[derive(Default)]
 struct WorkerStats {
     not_udp: u64,
@@ -1436,11 +1564,11 @@ struct WorkerFaultTelemetry {
 }
 
 fn worker_loop(
-    rx: MeteredReceiver<Vec<(u64, TimedFrame)>>,
-    out: MeteredSender<Vec<WorkerStep>>,
+    windex: usize,
+    queues: WorkerQueues,
     frames: Counter,
     trace: StageTrace,
-    supervision: Option<(usize, WorkerFaultPlan, WorkerFaultTelemetry)>,
+    supervision: Option<(WorkerFaultPlan, WorkerFaultTelemetry)>,
 ) -> WorkerStats {
     let mut wire = WireDecoder::new();
     let mut decoder = Decoder::new();
@@ -1450,16 +1578,21 @@ fn worker_loop(
     let mut backoff_left = 0u64;
     let mut degraded = false;
     let mut pt = trace.begin();
-    'batches: while let Ok(batch) = rx.recv() {
+    'batches: while let Ok(batch) = queues.frames_in.recv() {
         let w0 = trace.service_begin(&mut pt);
+        // Free the messages the tail is done with, on this thread,
+        // which allocated them.
+        if let Some(spent) = &queues.spent {
+            while spent.try_recv().is_some() {}
+        }
         let mut last_us = 0u64;
         let mut steps: Vec<WorkerStep> = Vec::with_capacity(batch.len());
-        for (seq, frame) in batch {
+        for &(seq, ref frame) in &batch {
             received += 1;
             frames.inc();
             let decoded = match &supervision {
-                None => process_frame(&mut wire, &mut decoder, &mut ws, &frame),
-                Some((windex, plan, faults)) => {
+                None => process_frame(windex, &mut wire, &mut decoder, &mut ws, frame),
+                Some((plan, faults)) => {
                     if degraded {
                         // Out of restart budget: tombstone everything rather
                         // than stop the capture ("never stop the capture").
@@ -1471,12 +1604,12 @@ fn worker_loop(
                         faults.tombstoned.inc();
                         None
                     } else {
-                        let crash_due = plan.crash_due(*windex, received);
+                        let crash_due = plan.crash_due(windex, received);
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
                             if crash_due {
                                 std::panic::panic_any(InjectedWorkerCrash);
                             }
-                            process_frame(&mut wire, &mut decoder, &mut ws, &frame)
+                            process_frame(windex, &mut wire, &mut decoder, &mut ws, frame)
                         }));
                         match outcome {
                             Ok(d) => d,
@@ -1521,8 +1654,11 @@ fn worker_loop(
             last_us = frame.ts.0;
             steps.push((seq, decoded));
         }
-        trace.service_end(&mut pt, received as u32, last_us, w0);
-        if out.send(steps).is_err() {
+        let frame_count = batch.len() as u32;
+        // The batch goes home to be emptied where its frames were made.
+        let _ = queues.frames_home.try_send(batch);
+        trace.service_end(&mut pt, frame_count, last_us, w0);
+        if queues.steps_out.send(steps).is_err() {
             break 'batches;
         }
         pt = trace.begin();
@@ -1533,6 +1669,7 @@ fn worker_loop(
 }
 
 fn process_frame(
+    windex: usize,
     wire: &mut WireDecoder,
     decoder: &mut Decoder,
     ws: &mut WorkerStats,
@@ -1549,7 +1686,18 @@ fn process_frame(
             if was_fragmented {
                 ws.fragmented_datagrams += 1;
             }
-            decode_payload(decoder, frame.ts, peer, direction, &payload)
+            match decoder.push(&payload) {
+                DecodeOutcome::Ok(msg) => Some(DecodedMsg {
+                    ts: frame.ts,
+                    peer,
+                    direction,
+                    msg,
+                    worker: windex,
+                }),
+                DecodeOutcome::StructurallyInvalid(_)
+                | DecodeOutcome::DecodeFailed(_)
+                | DecodeOutcome::NotEdonkey => None,
+            }
         }
         Recovered::FragmentPending => None,
         Recovered::NotUdp => {
@@ -1564,26 +1712,6 @@ fn process_frame(
             ws.parse_errors += 1;
             None
         }
-    }
-}
-
-fn decode_payload(
-    decoder: &mut Decoder,
-    ts: VirtualTime,
-    peer: ClientId,
-    direction: Direction,
-    payload: &Bytes,
-) -> Option<DecodedMsg> {
-    match decoder.push(payload) {
-        DecodeOutcome::Ok(msg) => Some(DecodedMsg {
-            ts,
-            peer,
-            direction,
-            msg,
-        }),
-        DecodeOutcome::StructurallyInvalid(_)
-        | DecodeOutcome::DecodeFailed(_)
-        | DecodeOutcome::NotEdonkey => None,
     }
 }
 
@@ -1962,6 +2090,59 @@ mod tests {
         assert!(kinds.contains("service"), "kinds: {kinds:?}");
         assert!(kinds.contains("CRASH"), "kinds: {kinds:?}");
         assert!(kinds.contains("checkpoint"), "kinds: {kinds:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn decode_spans_carry_their_batch_size() {
+        // One frame per message, a message per virtual second, about six
+        // batches per worker; a cut every 1 000 s dumps the recorder.
+        let frames = frames_for(&query_msgs(12 * FRAME_BATCH));
+        let dir = std::env::temp_dir().join(format!("etw-decode-spans-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = PipelineOptions {
+            checkpoint_interval_us: 1_000_000_000,
+            trace: Some(TraceOptions {
+                ring_slots: 64,
+                dump_dir: Some(dir.clone()),
+                max_dumps: 16,
+            }),
+            ..PipelineOptions::default()
+        };
+        let (stats, _) = run_capture_pipeline_with(
+            frames.into_iter(),
+            2,
+            PaperScheme::paper(16),
+            &Registry::disabled(),
+            &opts,
+            |_| {},
+            |_| {},
+        );
+        assert_eq!(stats.records, 12 * FRAME_BATCH as u64);
+        // Every decode span carries its own batch's frames, however many
+        // batches its worker decoded before it.
+        let mut most_spans = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let events = trace_file::read_file(&entry.unwrap().path()).unwrap();
+            let mut spans_per_worker = [0; 2];
+            for ev in events.iter().filter(|e| {
+                e.stage() == Some(StageId::Decode) && e.kind() == Some(SpanKind::Service)
+            }) {
+                assert!(
+                    ev.arg() as usize <= FRAME_BATCH,
+                    "decode span of worker {} carries {} frames",
+                    ev.worker(),
+                    ev.arg()
+                );
+                spans_per_worker[usize::from(ev.worker())] += 1;
+            }
+            most_spans = spans_per_worker.into_iter().fold(most_spans, usize::max);
+        }
+        assert!(
+            most_spans > 2,
+            "a dump holds {most_spans} spans of one worker"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2434,6 +2615,7 @@ mod tests {
                     msg: Message::StatusRequest {
                         challenge: seq as u32,
                     },
+                    worker: 0,
                 });
                 (seq, msg)
             })

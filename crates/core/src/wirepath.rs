@@ -9,7 +9,10 @@ use bytes::Bytes;
 use etw_edonkey::ids::ClientId;
 use etw_netsim::clock::VirtualTime;
 use etw_netsim::frag::{fragment, Reassembler};
-use etw_netsim::packet::{EthernetFrame, Ipv4Packet, UdpDatagram, PROTO_TCP, PROTO_UDP};
+use etw_netsim::packet::{
+    EthernetFrame, Ipv4Packet, Ipv4View, UdpDatagram, PROTO_TCP, PROTO_UDP, UDP_HEADER_LEN,
+};
+use std::borrow::Cow;
 
 /// The simulated server's IPv4 address.
 pub const SERVER_IP: u32 = 0x5216_0a01; // 82.22.10.1
@@ -228,7 +231,7 @@ pub fn fragment_key(frame: &[u8]) -> Option<u64> {
 
 /// What the capture machine recovers from one frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Recovered {
+pub enum Recovered<'a> {
     /// A complete UDP datagram (possibly after reassembly) with the peer
     /// clientID and direction.
     Udp {
@@ -236,8 +239,9 @@ pub enum Recovered {
         peer: ClientId,
         /// Query or answer.
         direction: Direction,
-        /// eDonkey-level payload bytes.
-        payload: Bytes,
+        /// eDonkey-level payload bytes: borrowed from the captured frame,
+        /// owned only when the datagram was reassembled from fragments.
+        payload: Cow<'a, [u8]>,
         /// True if this datagram arrived fragmented.
         was_fragmented: bool,
     },
@@ -252,6 +256,8 @@ pub enum Recovered {
 }
 
 /// Stateful up-path decoder: ethernet bytes → recovered UDP payloads.
+/// It reads every header in place; only IP fragments are copied, into
+/// the reassembler.
 pub struct WireDecoder {
     reassembler: Reassembler,
 }
@@ -275,12 +281,13 @@ impl WireDecoder {
         self.reassembler.stats()
     }
 
-    /// Processes one captured frame.
-    pub fn push(&mut self, now: VirtualTime, frame_bytes: &[u8]) -> Recovered {
+    /// Processes one captured frame. The recovered payload borrows
+    /// `frame_bytes` unless the frame completed a fragmented datagram.
+    pub fn push<'a>(&mut self, now: VirtualTime, frame_bytes: &'a [u8]) -> Recovered<'a> {
         let Ok(frame) = EthernetFrame::parse(frame_bytes) else {
             return Recovered::ParseError;
         };
-        let Ok(ip) = Ipv4Packet::parse(&frame.payload) else {
+        let Ok(ip) = Ipv4Packet::parse(frame.payload) else {
             return Recovered::ParseError;
         };
         if ip.protocol != PROTO_UDP {
@@ -290,7 +297,10 @@ impl WireDecoder {
         let Some(whole) = self.reassembler.push(now, ip) else {
             return Recovered::FragmentPending;
         };
-        let Ok(udp) = UdpDatagram::parse(&whole) else {
+        let Ok(udp) = UdpDatagram::parse(&Ipv4View {
+            payload: &whole,
+            ..ip
+        }) else {
             return Recovered::ParseError;
         };
         let (peer_ip, direction) = if udp.dst_ip == SERVER_IP && udp.dst_port == SERVER_PORT {
@@ -305,10 +315,21 @@ impl WireDecoder {
         } else {
             ClientId(peer_ip)
         };
+        // The eDonkey payload follows the UDP header, cut to the UDP
+        // length; a reassembled buffer is cut in place.
+        let end = UDP_HEADER_LEN + udp.payload.len();
+        let payload = match whole {
+            Cow::Borrowed(datagram) => Cow::Borrowed(&datagram[UDP_HEADER_LEN..end]),
+            Cow::Owned(mut datagram) => {
+                datagram.truncate(end);
+                datagram.drain(..UDP_HEADER_LEN);
+                Cow::Owned(datagram)
+            }
+        };
         Recovered::Udp {
             peer,
             direction,
-            payload: udp.payload,
+            payload,
             was_fragmented,
         }
     }
@@ -360,12 +381,16 @@ mod tests {
     fn big_message_fragments_and_reassembles() {
         let payload = vec![0xE3u8; 5000];
         let client = ClientId(0x5000_0001);
-        let frames = encapsulate(payload.clone(), client, 4672, Direction::ToServer, 3, 1500);
+        let frames: Vec<Vec<u8>> =
+            encapsulate(payload.clone(), client, 4672, Direction::ToServer, 3, 1500)
+                .iter()
+                .map(EthernetFrame::to_bytes)
+                .collect();
         assert!(frames.len() >= 4);
         let mut d = WireDecoder::new();
         let mut got = None;
         for f in &frames {
-            match d.push(VirtualTime::ZERO, &f.to_bytes()) {
+            match d.push(VirtualTime::ZERO, f) {
                 Recovered::Udp {
                     payload,
                     was_fragmented,

@@ -7,8 +7,8 @@
 //! a timeout that discards stale partial datagrams (fragment loss).
 
 use crate::clock::{Duration, VirtualTime};
-use crate::packet::Ipv4Packet;
-use bytes::Bytes;
+use crate::packet::{Ipv4Packet, Ipv4View};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Fragments `packet` into IPv4 fragments no larger than `mtu` bytes of
@@ -55,8 +55,9 @@ struct FragKey {
 }
 
 struct Partial {
-    /// Received (offset_bytes, payload) pieces, unordered.
-    pieces: Vec<(usize, Bytes)>,
+    /// Received (offset_bytes, payload) pieces, unordered: copies of
+    /// the fragments' payloads, which outlive the captured frames.
+    pieces: Vec<(usize, Vec<u8>)>,
     /// Total length once the last fragment is seen.
     total: Option<usize>,
     /// Arrival time of the first fragment (for timeout).
@@ -70,7 +71,7 @@ impl Partial {
 
     /// Completed iff the total is known and the pieces tile [0, total)
     /// exactly (duplicates rejected on insert).
-    fn try_assemble(&mut self) -> Option<Bytes> {
+    fn try_assemble(&mut self) -> Option<Vec<u8>> {
         let total = self.total?;
         if self.bytes_present() != total {
             return None;
@@ -87,7 +88,7 @@ impl Partial {
         for (_, b) in &self.pieces {
             buf.extend_from_slice(b);
         }
-        Some(Bytes::from(buf))
+        Some(buf)
     }
 }
 
@@ -141,13 +142,15 @@ impl Reassembler {
         Self::new(Duration::from_secs(30))
     }
 
-    /// Offers a packet; returns a complete IPv4 packet (with reassembled
-    /// payload) when one becomes available.
-    pub fn push(&mut self, now: VirtualTime, packet: Ipv4Packet) -> Option<Ipv4Packet> {
+    /// Offers a packet; returns its datagram's layer-4 payload once the
+    /// datagram is whole: the packet's own payload, borrowed, when it is
+    /// not a fragment, or the reassembled payload, owned. Only fragments
+    /// are copied.
+    pub fn push<'a>(&mut self, now: VirtualTime, packet: Ipv4View<'a>) -> Option<Cow<'a, [u8]>> {
         self.expire(now);
         if !packet.is_fragment() {
             self.stats.whole += 1;
-            return Some(packet);
+            return Some(Cow::Borrowed(packet.payload));
         }
         self.stats.fragments += 1;
         let key = FragKey {
@@ -169,22 +172,11 @@ impl Reassembler {
         if !packet.more_fragments {
             entry.total = Some(off + packet.payload.len());
         }
-        entry.pieces.push((off, packet.payload.clone()));
-        if let Some(payload) = entry.try_assemble() {
-            self.partials.remove(&key);
-            self.stats.reassembled += 1;
-            return Some(Ipv4Packet {
-                src: packet.src,
-                dst: packet.dst,
-                ident: packet.ident,
-                more_fragments: false,
-                frag_offset: 0,
-                ttl: packet.ttl,
-                protocol: packet.protocol,
-                payload,
-            });
-        }
-        None
+        entry.pieces.push((off, packet.payload.to_vec()));
+        let payload = entry.try_assemble()?;
+        self.partials.remove(&key);
+        self.stats.reassembled += 1;
+        Some(Cow::Owned(payload))
     }
 
     /// Drops partial datagrams older than the timeout.
@@ -210,6 +202,7 @@ impl Reassembler {
 mod tests {
     use super::*;
     use crate::packet::PROTO_UDP;
+    use bytes::Bytes;
 
     fn big_packet(len: usize) -> Ipv4Packet {
         let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
@@ -259,15 +252,15 @@ mod tests {
         let frags = fragment(&p, 1500);
         let mut r = Reassembler::with_default_timeout();
         let mut result = None;
-        for f in frags {
-            if let Some(done) = r.push(VirtualTime::ZERO, f) {
+        for f in &frags {
+            if let Some(done) = r.push(VirtualTime::ZERO, f.view()) {
                 assert!(result.is_none());
                 result = Some(done);
             }
         }
         let done = result.expect("reassembled");
-        assert_eq!(done.payload, p.payload);
-        assert!(!done.is_fragment());
+        assert!(matches!(done, Cow::Owned(_)), "reassembly copies");
+        assert_eq!(done, &p.payload[..]);
         assert_eq!(r.stats().reassembled, 1);
         assert_eq!(r.pending(), 0);
     }
@@ -279,12 +272,12 @@ mod tests {
         frags.reverse();
         let mut r = Reassembler::with_default_timeout();
         let mut result = None;
-        for f in frags {
-            if let Some(done) = r.push(VirtualTime::ZERO, f) {
+        for f in &frags {
+            if let Some(done) = r.push(VirtualTime::ZERO, f.view()) {
                 result = Some(done);
             }
         }
-        assert_eq!(result.expect("reassembled").payload, p.payload);
+        assert_eq!(result.expect("reassembled"), &p.payload[..]);
     }
 
     #[test]
@@ -292,14 +285,14 @@ mod tests {
         let p = big_packet(3000);
         let frags = fragment(&p, 1500);
         let mut r = Reassembler::with_default_timeout();
-        assert!(r.push(VirtualTime::ZERO, frags[0].clone()).is_none());
-        assert!(r.push(VirtualTime::ZERO, frags[0].clone()).is_none());
+        assert!(r.push(VirtualTime::ZERO, frags[0].view()).is_none());
+        assert!(r.push(VirtualTime::ZERO, frags[0].view()).is_none());
         assert_eq!(r.stats().duplicates, 1);
         let done = frags[1..]
             .iter()
-            .filter_map(|f| r.push(VirtualTime::ZERO, f.clone()))
+            .filter_map(|f| r.push(VirtualTime::ZERO, f.view()))
             .next();
-        assert_eq!(done.expect("reassembled").payload, p.payload);
+        assert_eq!(done.expect("reassembled"), &p.payload[..]);
     }
 
     #[test]
@@ -312,7 +305,7 @@ mod tests {
             if i == 1 {
                 continue;
             }
-            assert!(r.push(VirtualTime::ZERO, f.clone()).is_none());
+            assert!(r.push(VirtualTime::ZERO, f.view()).is_none());
         }
         assert_eq!(r.pending(), 1);
         r.expire(VirtualTime::from_secs(31));
@@ -330,8 +323,8 @@ mod tests {
         let fb = fragment(&b, 1500);
         let mut r = Reassembler::with_default_timeout();
         let mut done = Vec::new();
-        for f in fa.iter().chain(fb.iter()).cloned() {
-            if let Some(d) = r.push(VirtualTime::ZERO, f) {
+        for f in fa.iter().chain(fb.iter()) {
+            if let Some(d) = r.push(VirtualTime::ZERO, f.view()) {
                 done.push(d);
             }
         }
@@ -343,7 +336,10 @@ mod tests {
     fn whole_packets_pass_through_and_counted() {
         let mut r = Reassembler::with_default_timeout();
         let p = big_packet(100);
-        assert_eq!(r.push(VirtualTime::ZERO, p.clone()), Some(p));
+        assert_eq!(
+            r.push(VirtualTime::ZERO, p.view()),
+            Some(Cow::Borrowed(&p.payload[..]))
+        );
         assert_eq!(r.stats().whole, 1);
     }
 
@@ -358,9 +354,9 @@ mod tests {
             let raw = f.to_bytes();
             let parsed = Ipv4Packet::parse(&raw).unwrap();
             if let Some(d) = r.push(VirtualTime::ZERO, parsed) {
-                out = Some(d);
+                out = Some(d.into_owned());
             }
         }
-        assert_eq!(out.unwrap().payload, p.payload);
+        assert_eq!(out.unwrap(), &p.payload[..]);
     }
 }

@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use bytes::Bytes;
-//! use etw_netsim::packet::{Ipv4Packet, UdpDatagram, PROTO_UDP};
+//! use etw_netsim::packet::{Ipv4Packet, Ipv4View, UdpDatagram, PROTO_UDP};
 //! use etw_netsim::frag::{fragment, Reassembler};
 //! use etw_netsim::clock::VirtualTime;
 //!
@@ -37,13 +37,20 @@
 //!     more_fragments: false, frag_offset: 0, ttl: 64,
 //!     protocol: PROTO_UDP, payload: Bytes::from(udp.to_bytes()),
 //! };
+//! // The capture side reads each fragment in place; the reassembler
+//! // copies fragment payloads and hands back the whole datagram.
+//! let frames: Vec<Vec<u8>> = fragment(&ip, 1500).iter().map(|f| f.to_bytes()).collect();
 //! let mut reasm = Reassembler::with_default_timeout();
 //! let mut whole = None;
-//! for f in fragment(&ip, 1500) {
-//!     whole = reasm.push(VirtualTime::ZERO, f).or(whole);
+//! for raw in &frames {
+//!     let fragment = Ipv4Packet::parse(raw).unwrap();
+//!     if let Some(payload) = reasm.push(VirtualTime::ZERO, fragment) {
+//!         whole = Some(payload.into_owned());
+//!     }
 //! }
-//! let got = UdpDatagram::parse(&whole.unwrap()).unwrap();
-//! assert_eq!(got, udp);
+//! let whole = whole.unwrap();
+//! let got = UdpDatagram::parse(&Ipv4View { payload: &whole, ..ip.view() }).unwrap();
+//! assert_eq!(got, udp.view());
 //! ```
 
 #![warn(missing_docs)]

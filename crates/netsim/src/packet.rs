@@ -74,8 +74,8 @@ impl EthernetFrame {
         out
     }
 
-    /// Parses a frame.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    /// Reads a frame's header in place; the payload borrows `buf`.
+    pub fn parse(buf: &[u8]) -> Result<EthernetView<'_>, ParseError> {
         if buf.len() < ETH_HEADER_LEN {
             return Err(ParseError::Short);
         }
@@ -83,14 +83,27 @@ impl EthernetFrame {
         let mut src = [0u8; 6];
         dst.copy_from_slice(&buf[0..6]);
         src.copy_from_slice(&buf[6..12]);
-        let ethertype = u16::from_be_bytes([buf[12], buf[13]]);
-        Ok(EthernetFrame {
+        Ok(EthernetView {
             dst,
             src,
-            ethertype,
-            payload: Bytes::copy_from_slice(&buf[ETH_HEADER_LEN..]),
+            ethertype: u16::from_be_bytes([buf[12], buf[13]]),
+            payload: &buf[ETH_HEADER_LEN..],
         })
     }
+}
+
+/// An Ethernet frame read in place: the header fields, and the layer-3
+/// payload borrowed from the captured bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct EthernetView<'a> {
+    /// Destination MAC.
+    pub dst: [u8; 6],
+    /// Source MAC.
+    pub src: [u8; 6],
+    /// EtherType.
+    pub ethertype: u16,
+    /// Layer-3 payload.
+    pub payload: &'a [u8],
 }
 
 /// An IPv4 packet (fixed 20-byte header, no options).
@@ -155,8 +168,10 @@ impl Ipv4Packet {
         out
     }
 
-    /// Parses and verifies a packet.
-    pub fn parse(buf: &[u8]) -> Result<Self, ParseError> {
+    /// Reads and verifies a packet's header in place; the payload
+    /// borrows `buf` (up to the header's total length, so trailing
+    /// Ethernet padding is left out).
+    pub fn parse(buf: &[u8]) -> Result<Ipv4View<'_>, ParseError> {
         if buf.len() < IPV4_HEADER_LEN {
             return Err(ParseError::Short);
         }
@@ -175,7 +190,7 @@ impl Ipv4Packet {
             return Err(ParseError::BadLength);
         }
         let flags_frag = u16::from_be_bytes([buf[6], buf[7]]);
-        Ok(Ipv4Packet {
+        Ok(Ipv4View {
             src: u32::from_be_bytes([buf[12], buf[13], buf[14], buf[15]]),
             dst: u32::from_be_bytes([buf[16], buf[17], buf[18], buf[19]]),
             ident: u16::from_be_bytes([buf[4], buf[5]]),
@@ -183,10 +198,54 @@ impl Ipv4Packet {
             frag_offset: flags_frag & 0x1fff,
             ttl: buf[8],
             protocol: buf[9],
-            payload: Bytes::copy_from_slice(&buf[ihl..total_len]),
+            payload: &buf[ihl..total_len],
         })
     }
 
+    /// This packet as [`Ipv4Packet::parse`] reads it back.
+    pub fn view(&self) -> Ipv4View<'_> {
+        Ipv4View {
+            src: self.src,
+            dst: self.dst,
+            ident: self.ident,
+            more_fragments: self.more_fragments,
+            frag_offset: self.frag_offset,
+            ttl: self.ttl,
+            protocol: self.protocol,
+            payload: &self.payload,
+        }
+    }
+
+    /// True when this packet is a fragment (either more to come, or a
+    /// non-zero offset).
+    pub fn is_fragment(&self) -> bool {
+        self.view().is_fragment()
+    }
+}
+
+/// An IPv4 packet read in place: the header fields, and the layer-4
+/// payload (or fragment thereof) borrowed from the captured bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Ipv4View<'a> {
+    /// Source address (big-endian octets as u32).
+    pub src: u32,
+    /// Destination address.
+    pub dst: u32,
+    /// Identification field (shared by all fragments of a datagram).
+    pub ident: u16,
+    /// "More fragments" flag.
+    pub more_fragments: bool,
+    /// Fragment offset in 8-byte units.
+    pub frag_offset: u16,
+    /// Time to live.
+    pub ttl: u8,
+    /// Payload protocol.
+    pub protocol: u8,
+    /// Layer-4 payload (or fragment thereof).
+    pub payload: &'a [u8],
+}
+
+impl Ipv4View<'_> {
     /// True when this packet is a fragment (either more to come, or a
     /// non-zero offset).
     pub fn is_fragment(&self) -> bool {
@@ -240,12 +299,13 @@ impl UdpDatagram {
         internet_checksum(&pseudo)
     }
 
-    /// Parses a UDP datagram out of a reassembled IPv4 payload.
-    pub fn parse(ip: &Ipv4Packet) -> Result<Self, ParseError> {
+    /// Reads a UDP header in place out of a whole (unfragmented or
+    /// reassembled) IPv4 packet; the payload borrows the packet's.
+    pub fn parse<'a>(ip: &Ipv4View<'a>) -> Result<UdpView<'a>, ParseError> {
         if ip.protocol != PROTO_UDP {
             return Err(ParseError::NotUdp);
         }
-        let buf = &ip.payload;
+        let buf = ip.payload;
         if buf.len() < UDP_HEADER_LEN {
             return Err(ParseError::Short);
         }
@@ -253,13 +313,24 @@ impl UdpDatagram {
         if udp_len < UDP_HEADER_LEN || udp_len > buf.len() {
             return Err(ParseError::BadUdpLength);
         }
-        Ok(UdpDatagram {
+        Ok(UdpView {
             src_ip: ip.src,
             dst_ip: ip.dst,
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            payload: ip.payload.slice(UDP_HEADER_LEN..udp_len),
+            payload: &buf[UDP_HEADER_LEN..udp_len],
         })
+    }
+
+    /// This datagram as [`UdpDatagram::parse`] reads it back.
+    pub fn view(&self) -> UdpView<'_> {
+        UdpView {
+            src_ip: self.src_ip,
+            dst_ip: self.dst_ip,
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            payload: &self.payload,
+        }
     }
 
     /// Verifies the checksum of serialised UDP bytes against this
@@ -267,6 +338,22 @@ impl UdpDatagram {
     pub fn verify_checksum(&self, udp_bytes: &[u8]) -> bool {
         self.checksum(udp_bytes) == 0
     }
+}
+
+/// A UDP datagram read in place: its addressing 4-tuple, and the
+/// application payload borrowed from the packet.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct UdpView<'a> {
+    /// Source IPv4 address.
+    pub src_ip: u32,
+    /// Destination IPv4 address.
+    pub dst_ip: u32,
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Application payload.
+    pub payload: &'a [u8],
 }
 
 #[cfg(test)]
@@ -318,9 +405,9 @@ mod tests {
         };
         let raw = ip.to_bytes();
         let parsed_ip = Ipv4Packet::parse(&raw).unwrap();
-        assert_eq!(parsed_ip, ip);
+        assert_eq!(parsed_ip, ip.view());
         let parsed_udp = UdpDatagram::parse(&parsed_ip).unwrap();
-        assert_eq!(parsed_udp, udp);
+        assert_eq!(parsed_udp, udp.view());
     }
 
     #[test]
@@ -354,7 +441,9 @@ mod tests {
     fn ethernet_round_trip() {
         let f = EthernetFrame::ipv4(Bytes::from_static(b"ip-bytes"));
         let raw = f.to_bytes();
-        assert_eq!(EthernetFrame::parse(&raw).unwrap(), f);
+        let v = EthernetFrame::parse(&raw).unwrap();
+        assert_eq!((v.dst, v.src, v.ethertype), (f.dst, f.src, f.ethertype));
+        assert_eq!(v.payload, &f.payload[..]);
     }
 
     #[test]
@@ -392,7 +481,8 @@ mod tests {
             protocol: PROTO_UDP,
             payload: Bytes::from_static(&[0u8; 16]),
         };
-        let parsed = Ipv4Packet::parse(&ip.to_bytes()).unwrap();
+        let raw = ip.to_bytes();
+        let parsed = Ipv4Packet::parse(&raw).unwrap();
         assert!(parsed.is_fragment());
         assert!(parsed.more_fragments);
         assert_eq!(parsed.frag_offset, 185);
@@ -410,7 +500,7 @@ mod tests {
             protocol: PROTO_TCP,
             payload: Bytes::from_static(&[0u8; 20]),
         };
-        assert_eq!(UdpDatagram::parse(&ip), Err(ParseError::NotUdp));
+        assert_eq!(UdpDatagram::parse(&ip.view()), Err(ParseError::NotUdp));
     }
 
     #[test]
@@ -428,7 +518,10 @@ mod tests {
             protocol: PROTO_UDP,
             payload: Bytes::from(raw),
         };
-        assert_eq!(UdpDatagram::parse(&ip), Err(ParseError::BadUdpLength));
+        assert_eq!(
+            UdpDatagram::parse(&ip.view()),
+            Err(ParseError::BadUdpLength)
+        );
     }
 
     #[test]
@@ -448,6 +541,6 @@ mod tests {
         let mut raw = ip.to_bytes();
         raw.extend_from_slice(&[0u8; 7]); // ethernet pad bytes
         let parsed = Ipv4Packet::parse(&raw).unwrap();
-        assert_eq!(&parsed.payload[..], b"abc");
+        assert_eq!(parsed.payload, b"abc");
     }
 }

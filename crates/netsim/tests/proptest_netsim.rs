@@ -37,7 +37,7 @@ proptest! {
     fn ipv4_round_trip(pkt in arb_ipv4_packet()) {
         let raw = pkt.to_bytes();
         let parsed = Ipv4Packet::parse(&raw).expect("parse");
-        prop_assert_eq!(parsed, pkt);
+        prop_assert_eq!(parsed, pkt.view());
         // RFC 1071: checksum over a header containing its own checksum is 0.
         prop_assert_eq!(internet_checksum(&raw[..20]), 0);
     }
@@ -54,7 +54,7 @@ proptest! {
         // produced a different but self-consistent framing) not equal to
         // the original — it must never parse back identical.
         if let Ok(p) = out {
-            prop_assert_ne!(p, pkt);
+            prop_assert_ne!(p, pkt.view());
         }
     }
 
@@ -75,9 +75,10 @@ proptest! {
             ttl: 64, protocol: PROTO_UDP,
             payload: Bytes::from(udp.to_bytes()),
         };
-        let parsed_ip = Ipv4Packet::parse(&ip.to_bytes()).expect("ip");
+        let raw = ip.to_bytes();
+        let parsed_ip = Ipv4Packet::parse(&raw).expect("ip");
         let got = UdpDatagram::parse(&parsed_ip).expect("udp");
-        prop_assert_eq!(got, udp);
+        prop_assert_eq!(got, udp.view());
     }
 
     /// Fragmentation + reassembly is the identity for any payload and any
@@ -99,14 +100,14 @@ proptest! {
         frags.shuffle(&mut rng);
         let mut reasm = Reassembler::with_default_timeout();
         let mut done = None;
-        for f in frags {
-            if let Some(d) = reasm.push(VirtualTime::ZERO, f) {
+        for f in &frags {
+            if let Some(d) = reasm.push(VirtualTime::ZERO, f.view()) {
                 prop_assert!(done.is_none(), "double completion");
                 done = Some(d);
             }
         }
         let d = done.expect("reassembled");
-        prop_assert_eq!(d.payload, pkt.payload);
+        prop_assert_eq!(&d[..], &pkt.payload[..]);
         prop_assert_eq!(reasm.pending(), 0);
     }
 
