@@ -28,7 +28,7 @@ perfbench|benchmark workspace tests: sharded source vs serial engine answers, wr
 soak|kill+resume byte identity, fault ledgers|cargo run -q --release --bin repro -- soak --faults --out target/soak
 swarm|real-socket loopback soak: impaired client swarm, exact conservation, live-capture canary|cargo run -q --release --bin repro -- swarm --faults --out target/swarm
 bench|stage + end-to-end throughput, decode-ratio + swarm floors, trajectory vs newest BENCH_PR*.json|cargo run -q --release --bin repro -- bench --smoke --out target/bench
-ablations|paper ablations A1-A6, figure, codec and distinct-counting rows, one repeat each (no gate: must exit 0)|cargo run -q --release --bin repro -- ablations --smoke
+ablations|paper ablations A1-A7, figure, codec and distinct-counting rows, one repeat each (no gate: must exit 0)|cargo run -q --release --bin repro -- ablations --smoke
 matrix|campaign matrix: widths 2^24/2^16 x anon shards 1/4 x source shards 1/4, byte-identical datasets|cargo run -q --release --bin repro -- matrix
 trace|flight recorder: injected crashes must dump parseable flight_*.etwtrace; operator surface: monitor --top at 4 shards with its HTTP listener must exit 0|cargo run -q --release --bin etwtool -- trace-check --dir target/ci/flight && cargo run -q --release --bin etwtool -- monitor --tiny --top --shards 4 --refresh-ms 200 --addr 127.0.0.1:0 --prom target/ci/monitor.prom
 clippy|cargo clippy -D warnings|cargo clippy --workspace --all-targets -- -D warnings

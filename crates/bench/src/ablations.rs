@@ -15,12 +15,14 @@
 //! | (table) | A4: capture ring capacity vs loss (Fig. 2 mechanics) |
 //! | `a5_pipeline` | end-to-end campaign per decode-worker count (Fig. 1) |
 //! | `a6_telemetry`, `a6_primitives`, `a6_channel` | what watching the machine costs |
+//! | `a7_checkpoint` | encoding and decoding a full checkpoint sidecar, per id |
 //! | `figures` | per-figure statistic extraction (§3) |
 //! | `e2_codec` | LZSS dataset codec (§2.4 fn. 3) |
 //! | `e3_distinct` | exact vs order-of-appearance vs HyperLogLog distinct counting (§1) |
 //!
 //! `--smoke` keeps every input and printed table and times one repeat
-//! per row instead of the best of several.
+//! per row instead of the best of several; A7 then skips its larger
+//! checkpoint.
 
 use crate::harness::{time_best_of, BenchResult};
 use crate::suite::{decode_frames, describe, message_mix, mix_frames, SuiteOptions};
@@ -38,6 +40,7 @@ use etw_anonymize::fileid::{
 };
 use etw_anonymize::scheme::{AnonMessage, AnonRecord};
 use etw_core::campaign::{run_campaign, Campaign};
+use etw_core::checkpoint::Checkpoint;
 use etw_core::config::CampaignConfig;
 use etw_edonkey::decoder::{validate, Decoder};
 use etw_edonkey::ids::{ClientId, FileId};
@@ -58,6 +61,7 @@ use std::hint::black_box;
 struct Reps {
     micro: usize,
     campaign: usize,
+    smoke: bool,
 }
 
 /// Runs every ablation and prints its rows and tables to stdout.
@@ -66,11 +70,13 @@ pub fn run_ablations(opts: &SuiteOptions) {
         Reps {
             micro: 1,
             campaign: 1,
+            smoke: true,
         }
     } else {
         Reps {
             micro: 9,
             campaign: 3,
+            smoke: false,
         }
     };
     clientid(&reps);
@@ -79,6 +85,7 @@ pub fn run_ablations(opts: &SuiteOptions) {
     capture_ring();
     pipeline_workers(&reps);
     telemetry(&reps);
+    checkpoints(&reps);
     figures(&reps);
     codec(&reps);
     distinct(&reps);
@@ -414,6 +421,60 @@ fn telemetry(reps: &Reps) {
                 })
                 .sum::<u64>()
         });
+    }
+}
+
+/// A7: one full checkpoint encoded to its v3 sidecar and decoded back,
+/// per id, at 2k clients + 76k fileIDs and at 20k + 760k, the two sizes
+/// ROADMAP direction 5 quotes. Ids are uniform random: a cut's cost
+/// depends on how many there are, not on which.
+fn checkpoints(reps: &Reps) {
+    println!("== A7: checkpoint sidecar ==");
+    let sizes: &[(&str, usize, usize)] = if reps.smoke {
+        &[("78k", 2_000, 76_000)]
+    } else {
+        &[("78k", 2_000, 76_000), ("780k", 20_000, 760_000)]
+    };
+    for &(label, n_clients, n_files) in sizes {
+        let mut rng = StdRng::seed_from_u64(0xC4EC);
+        let cp = Checkpoint {
+            seed: 3792,
+            virtual_us: 19_800_000_000,
+            next_checkpoint_us: 21_600_000_000,
+            records: 2_400_000,
+            writer_bytes: 1_100_000_000,
+            client_order: (0..n_clients).map(|_| rng.gen()).collect(),
+            file_order: (0..n_files).map(|_| FileId(rng.gen())).collect(),
+        };
+        let ids = (n_clients + n_files) as u64;
+        let repeats = if ids > 100_000 {
+            reps.campaign
+        } else {
+            reps.micro
+        };
+        let text = cp.encode();
+        assert!(Checkpoint::decode(&text).is_ok_and(|back| back == cp));
+        let (encode_secs, _) = time_best_of(repeats, || black_box(cp.encode()));
+        let (decode_secs, _) =
+            time_best_of(repeats, || black_box(Checkpoint::decode(&text)).is_ok());
+        print_row(
+            "a7_checkpoint",
+            &format!("encode_{label}"),
+            ids,
+            encode_secs,
+        );
+        print_row(
+            "a7_checkpoint",
+            &format!("decode_{label}"),
+            ids,
+            decode_secs,
+        );
+        println!(
+            "  {label}: {} B sidecar, encode {:.0} ns/id, decode {:.0} ns/id",
+            text.len(),
+            encode_secs * 1e9 / ids as f64,
+            decode_secs * 1e9 / ids as f64
+        );
     }
 }
 

@@ -8,7 +8,7 @@
 //!   their self-checks, and the ≤ 20% regression gate against the
 //!   committed `BENCH_PR<k>.json` baseline;
 //! * `repro ablations` ([`ablations`]) — the paper's design comparisons
-//!   (ablations A1–A6), the per-figure extraction costs and the codec
+//!   (ablations A1–A7), the per-figure extraction costs and the codec
 //!   and distinct-counting extensions, printed one row per measurement
 //!   for EXPERIMENTS.md. No gate.
 //!

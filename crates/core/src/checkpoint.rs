@@ -50,6 +50,7 @@
 
 use crate::pipeline::PipelineCheckpoint;
 use etw_edonkey::ids::FileId;
+use etw_xmlout::encode::push_u64;
 use std::io::Write;
 use std::path::Path;
 
@@ -139,53 +140,56 @@ impl Checkpoint {
     }
 
     /// Serializes to the sidecar text format (always version 3: v2
-    /// stripe layout, id payloads sealed).
+    /// stripe layout, id payloads sealed). Each section is one counting
+    /// pass, which gives every stripe its range of one index array, and
+    /// one writing pass into a buffer sized up front: digits and hex go
+    /// straight into it, so a cut costs its bytes and allocates nothing
+    /// per id.
     pub fn encode(&self) -> String {
         let key = self.seal_key();
-        let mut out =
-            String::with_capacity(96 + self.client_order.len() * 14 + self.file_order.len() * 40);
-        out.push_str("etwckpt 3\n");
-        out.push_str(&format!("seed {}\n", self.seed));
-        out.push_str(&format!("virtual_us {}\n", self.virtual_us));
-        out.push_str(&format!("next_checkpoint_us {}\n", self.next_checkpoint_us));
-        out.push_str(&format!("records {}\n", self.records));
-        out.push_str(&format!("writer_bytes {}\n", self.writer_bytes));
+        let (clients, files) = (&self.client_order, &self.file_order);
+        let mut out = Vec::with_capacity(encoded_len_bound(clients.len(), files.len()));
+        out.extend_from_slice(b"etwckpt 3\n");
+        push_field(&mut out, "seed", self.seed);
+        push_field(&mut out, "virtual_us", self.virtual_us);
+        push_field(&mut out, "next_checkpoint_us", self.next_checkpoint_us);
+        push_field(&mut out, "records", self.records);
+        push_field(&mut out, "writer_bytes", self.writer_bytes);
 
-        out.push_str(&format!("clients {}\n", self.client_order.len()));
-        let mut stripes: [Vec<usize>; SIDECAR_STRIPES] = Default::default();
-        for (g, id) in self.client_order.iter().enumerate() {
-            stripes[client_stripe(*id)].push(g);
-        }
-        for (s, members) in stripes.iter().enumerate() {
-            out.push_str(&format!("cstripe {s} {}\n", members.len()));
+        push_field(&mut out, "clients", clients.len() as u64);
+        let stripes = StripeIndex::new(clients.len(), |g| client_stripe(clients[g]));
+        for s in 0..SIDECAR_STRIPES {
+            let members = stripes.stripe(s);
+            push_stripe_header(&mut out, "cstripe", s, members.len());
             for &g in members {
-                out.push_str(&format!(
-                    "{g} {}\n",
-                    seal32(key, g as u64, self.client_order[g])
-                ));
+                push_u64(&mut out, u64::from(g));
+                out.push(b' ');
+                let sealed = seal32(key, u64::from(g), clients[g as usize]);
+                push_u64(&mut out, u64::from(sealed));
+                out.push(b'\n');
             }
         }
 
-        out.push_str(&format!("files {}\n", self.file_order.len()));
-        let mut stripes: [Vec<usize>; SIDECAR_STRIPES] = Default::default();
-        for (g, id) in self.file_order.iter().enumerate() {
-            stripes[file_stripe(id)].push(g);
-        }
-        for (s, members) in stripes.iter().enumerate() {
-            out.push_str(&format!("fstripe {s} {}\n", members.len()));
+        push_field(&mut out, "files", files.len() as u64);
+        let stripes = StripeIndex::new(files.len(), |g| file_stripe(&files[g]));
+        for s in 0..SIDECAR_STRIPES {
+            let members = stripes.stripe(s);
+            push_stripe_header(&mut out, "fstripe", s, members.len());
             for &g in members {
-                out.push_str(&format!("{g} "));
-                push_hex_bytes(&mut out, &seal_file(key, g as u64, &self.file_order[g]));
+                push_u64(&mut out, u64::from(g));
+                out.push(b' ');
+                push_hex_line(&mut out, &seal_file(key, u64::from(g), &files[g as usize]));
             }
         }
 
         // The retired Fig. 3 tracker's section, kept empty so older
         // binaries still load the file (see the module doc).
-        out.push_str("fig3 -\nend\n");
-        out
+        out.extend_from_slice(b"fig3 -\nend\n");
+        debug_assert!(out.len() <= encoded_len_bound(clients.len(), files.len()));
+        String::from_utf8(out).expect("sidecar text is ASCII")
     }
 
-    /// Parses the sidecar text format, either version.
+    /// Parses the sidecar text format, any version.
     pub fn decode(s: &str) -> Result<Checkpoint, CheckpointError> {
         let mut lines = s.lines().enumerate();
         let mut next = |expected: &'static str| -> Result<(usize, &str), CheckpointError> {
@@ -214,7 +218,12 @@ impl Checkpoint {
         let writer_bytes = keyed_u64(next("writer_bytes")?, "writer_bytes")?;
         let key = seal_key(seed, virtual_us, records);
 
-        let n_clients = keyed_u64(next("clients count")?, "clients")? as usize;
+        // A count sizes the section's arrays, so each is bounded by the
+        // bytes after its line first: every entry takes at least the
+        // bytes of its shortest line (v1 `0` / 32 hex digits; v2+ `0 0`
+        // / `0 ` and 32 hex digits, each with its newline).
+        let (min_client, min_file) = if version == 1 { (2, 33) } else { (4, 35) };
+        let n_clients = keyed_count(s, next("clients count")?, "clients", min_client)?;
         let client_order = if version == 1 {
             // v1: flat list, global order implicit in line position.
             let mut order = Vec::with_capacity(n_clients);
@@ -271,7 +280,7 @@ impl Checkpoint {
             order
         };
 
-        let n_files = keyed_u64(next("files count")?, "files")? as usize;
+        let n_files = keyed_count(s, next("files count")?, "files", min_file)?;
         let file_order = if version == 1 {
             let mut order = Vec::with_capacity(n_files);
             for _ in 0..n_files {
@@ -464,16 +473,83 @@ fn mask_file(key: u64, g: u64, b: &mut [u8; 16]) {
     }
 }
 
-fn push_hex_bytes(out: &mut String, bytes: &[u8; 16]) {
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out.push('\n');
+/// Global orders grouped by canonical stripe: one counting pass sizes
+/// every stripe, one placing pass fills a single index array in stripe
+/// order, each stripe's orders ascending.
+struct StripeIndex {
+    /// `starts[s]..starts[s + 1]` is stripe `s`'s range of `orders`.
+    starts: [usize; SIDECAR_STRIPES + 1],
+    orders: Vec<u32>,
 }
 
-#[cfg(test)]
-fn push_hex(out: &mut String, id: &FileId) {
-    push_hex_bytes(out, id.as_bytes());
+impl StripeIndex {
+    /// Indexes orders `0..len`, `stripe_of(g)` naming order `g`'s stripe.
+    fn new(len: usize, stripe_of: impl Fn(usize) -> usize) -> StripeIndex {
+        assert!(
+            len as u64 <= 1 << 32,
+            "a sidecar section indexes at most 2^32 ids, got {len}"
+        );
+        let mut starts = [0usize; SIDECAR_STRIPES + 1];
+        for g in 0..len {
+            starts[stripe_of(g) + 1] += 1;
+        }
+        for s in 0..SIDECAR_STRIPES {
+            starts[s + 1] += starts[s];
+        }
+        let mut next = starts;
+        let mut orders = vec![0u32; len];
+        for g in 0..len {
+            let s = stripe_of(g);
+            orders[next[s]] = g as u32;
+            next[s] += 1;
+        }
+        StripeIndex { starts, orders }
+    }
+
+    /// Stripe `s`'s global orders, ascending.
+    fn stripe(&self, s: usize) -> &[u32] {
+        &self.orders[self.starts[s]..self.starts[s + 1]]
+    }
+}
+
+/// An upper bound on the length of [`Checkpoint::encode`]'s output, so
+/// its buffer is sized once. Every fixed line (header, counts, stripe
+/// headers, trailer) fits in the first 2 KiB; an entry line is its
+/// order's digits plus, for a clientID, a space, at most ten digits and
+/// a newline, and for a fileID a space, 32 hex digits and a newline.
+fn encoded_len_bound(n_clients: usize, n_files: usize) -> usize {
+    const FIXED: usize = 2048;
+    let digits = |n: usize| (n as u64).checked_ilog10().map_or(1, |d| d as usize + 1);
+    FIXED + n_clients * (digits(n_clients) + 12) + n_files * (digits(n_files) + 34)
+}
+
+/// Appends a `<name> <value>` line.
+fn push_field(out: &mut Vec<u8>, name: &str, value: u64) {
+    out.extend_from_slice(name.as_bytes());
+    out.push(b' ');
+    push_u64(out, value);
+    out.push(b'\n');
+}
+
+/// Appends a `<kind> <stripe> <count>` stripe header line.
+fn push_stripe_header(out: &mut Vec<u8>, kind: &str, stripe: usize, count: usize) {
+    out.extend_from_slice(kind.as_bytes());
+    out.push(b' ');
+    push_u64(out, stripe as u64);
+    out.push(b' ');
+    push_u64(out, count as u64);
+    out.push(b'\n');
+}
+
+/// Appends `bytes` as 32 lowercase hex digits and a newline.
+fn push_hex_line(out: &mut Vec<u8>, bytes: &[u8; 16]) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut line = [b'\n'; 33];
+    for (pair, b) in line.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = HEX[usize::from(b >> 4)];
+        pair[1] = HEX[usize::from(b & 15)];
+    }
+    out.extend_from_slice(&line);
 }
 
 fn parse_hex((line_no, line): (usize, &str)) -> Result<FileId, CheckpointError> {
@@ -508,9 +584,44 @@ fn keyed_u64((line_no, line): (usize, &str), key: &'static str) -> Result<u64, C
     rest.trim().parse::<u64>().map_err(|_| malformed())
 }
 
+/// Parses a section's `<key> <count>` line, and rejects a count of
+/// entries taking at least `min_entry` bytes each that the bytes after
+/// the line (`line` is a slice of `s`) cannot hold, before the count
+/// sizes an allocation.
+fn keyed_count(
+    s: &str,
+    (line_no, line): (usize, &str),
+    key: &'static str,
+    min_entry: u64,
+) -> Result<usize, CheckpointError> {
+    let n = keyed_u64((line_no, line), key)?;
+    let line_end = line.as_ptr() as usize + line.len();
+    let left = (s.as_ptr() as usize + s.len() - line_end) as u64;
+    if n > left / min_entry {
+        return Err(CheckpointError::Malformed {
+            line: line_no,
+            expected: "a count the rest of the file can hold",
+        });
+    }
+    Ok(n as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Appends `bytes` as 32 hex digits and a newline, one `format!`
+    /// per byte, as the sidecar encoders did before [`push_hex_line`].
+    fn push_hex_bytes(out: &mut String, bytes: &[u8; 16]) {
+        for b in bytes {
+            out.push_str(&format!("{b:02x}"));
+        }
+        out.push('\n');
+    }
+
+    fn push_hex(out: &mut String, id: &FileId) {
+        push_hex_bytes(out, id.as_bytes());
+    }
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -774,6 +885,161 @@ mod tests {
         // slot unassigned.
         let short = text.replacen("clients 4\n", "clients 5\n", 1);
         assert!(Checkpoint::decode(&short).is_err());
+    }
+
+    /// Renders `cp` as the v3 encoder did before it wrote its own
+    /// digits: sixteen growing stripe vectors per section, one
+    /// `format!` per line and per fileID byte. [`Checkpoint::encode`]
+    /// must match it byte for byte.
+    fn encode_v3_formatted(cp: &Checkpoint) -> String {
+        let key = cp.seal_key();
+        let mut out = String::new();
+        out.push_str("etwckpt 3\n");
+        out.push_str(&format!("seed {}\n", cp.seed));
+        out.push_str(&format!("virtual_us {}\n", cp.virtual_us));
+        out.push_str(&format!("next_checkpoint_us {}\n", cp.next_checkpoint_us));
+        out.push_str(&format!("records {}\n", cp.records));
+        out.push_str(&format!("writer_bytes {}\n", cp.writer_bytes));
+        out.push_str(&format!("clients {}\n", cp.client_order.len()));
+        let mut stripes: [Vec<usize>; SIDECAR_STRIPES] = Default::default();
+        for (g, id) in cp.client_order.iter().enumerate() {
+            stripes[client_stripe(*id)].push(g);
+        }
+        for (s, members) in stripes.iter().enumerate() {
+            out.push_str(&format!("cstripe {s} {}\n", members.len()));
+            for &g in members {
+                out.push_str(&format!(
+                    "{g} {}\n",
+                    seal32(key, g as u64, cp.client_order[g])
+                ));
+            }
+        }
+        out.push_str(&format!("files {}\n", cp.file_order.len()));
+        let mut stripes: [Vec<usize>; SIDECAR_STRIPES] = Default::default();
+        for (g, id) in cp.file_order.iter().enumerate() {
+            stripes[file_stripe(id)].push(g);
+        }
+        for (s, members) in stripes.iter().enumerate() {
+            out.push_str(&format!("fstripe {s} {}\n", members.len()));
+            for &g in members {
+                out.push_str(&format!("{g} "));
+                push_hex_bytes(&mut out, &seal_file(key, g as u64, &cp.file_order[g]));
+            }
+        }
+        out.push_str("fig3 -\nend\n");
+        out
+    }
+
+    /// A checkpoint of `n_clients` + `n_files` ids drawn from `seed`, in
+    /// one of four shapes: 0, uniform ids; 1, every id in one stripe;
+    /// 2, the extreme clientIDs 0 and `u32::MAX`, fileIDs forged with
+    /// the `00 00` / `00 01` prefixes (Fig. 3's pathology) and extreme
+    /// header fields; 3, each id drawn from one of the other shapes.
+    fn corpus(shape: u8, seed: u64, n_clients: usize, n_files: usize) -> Checkpoint {
+        let word = |lane: u64, i: usize| sidecar_mix(seed, lane, i as u64);
+        let one_stripe = (seed & 15) as u8;
+        let shape_of = |i: usize| match shape {
+            3 => (word(9, i) % 3) as u8,
+            s => s,
+        };
+        let client = |i: usize| {
+            let raw = word(10, i) as u32;
+            match shape_of(i) {
+                1 => (raw & !15) | u32::from(one_stripe),
+                2 => [0, u32::MAX, raw][i % 3],
+                _ => raw,
+            }
+        };
+        let file = |i: usize| {
+            let mut b = [0u8; 16];
+            b[..8].copy_from_slice(&word(11, i).to_le_bytes());
+            b[8..].copy_from_slice(&word(12, i).to_le_bytes());
+            match shape_of(i) {
+                1 => b[0] = (b[0] & 0xf0) | one_stripe,
+                2 => b[..2].copy_from_slice(&[0, (i % 2) as u8]),
+                _ => {}
+            }
+            FileId(b)
+        };
+        let field = |lane: u64| match shape {
+            2 => [0, u64::MAX][lane as usize % 2],
+            _ => word(lane, 0),
+        };
+        Checkpoint {
+            seed: field(0),
+            virtual_us: field(1),
+            next_checkpoint_us: field(2),
+            records: field(3),
+            writer_bytes: field(4),
+            client_order: (0..n_clients).map(client).collect(),
+            file_order: (0..n_files).map(file).collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// The encoder writes the formatted encoder's bytes, and they
+        /// decode to the checkpoint, for every shape and small size.
+        #[test]
+        fn encoder_matches_the_formatted_encoder(
+            shape in 0u8..4,
+            seed in proptest::prelude::any::<u64>(),
+            n_clients in 0usize..150,
+            n_files in 0usize..150,
+        ) {
+            let cp = corpus(shape, seed, n_clients, n_files);
+            let text = cp.encode();
+            proptest::prop_assert_eq!(&text, &encode_v3_formatted(&cp));
+            proptest::prop_assert_eq!(Checkpoint::decode(&text).unwrap(), cp);
+        }
+    }
+
+    /// The same two checks on the corpus's edge sizes, empty orders and
+    /// single ids, and on 104k ids, where order digits reach six.
+    #[test]
+    fn encoder_matches_the_formatted_encoder_at_edges_and_scale() {
+        let mut cases = Vec::new();
+        for shape in 0..4 {
+            for (n_clients, n_files) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                cases.push(corpus(shape, 7 + u64::from(shape), n_clients, n_files));
+            }
+        }
+        cases.push(corpus(3, 0xED0, 4_000, 100_000));
+        for cp in cases {
+            let text = cp.encode();
+            assert!(text == encode_v3_formatted(&cp), "encoders differ");
+            assert!(Checkpoint::decode(&text).unwrap() == cp, "round trip");
+        }
+    }
+
+    /// A corrupt section count is a typed error naming its line, never
+    /// an allocation the count sized: each count is bounded by the bytes
+    /// after it, in every version.
+    #[test]
+    fn oversized_counts_rejected_before_allocating() {
+        let cp = sample();
+        let corrupt = [
+            (cp.encode(), "clients 4\n", "clients 4000000000000\n", 7),
+            (cp.encode(), "files 2\n", "files 1000000000000\n", 28),
+            (encode_v1(&cp), "clients 4\n", "clients 4000000000000\n", 7),
+            (encode_v1(&cp), "files 2\n", "files 1000000000000\n", 12),
+        ];
+        for (text, count, huge, line_no) in corrupt {
+            let text = text.replacen(count, huge, 1);
+            match Checkpoint::decode(&text) {
+                Err(CheckpointError::Malformed { line, .. }) => {
+                    assert_eq!(line, line_no, "{huge:?}")
+                }
+                other => panic!("{huge:?}: expected Malformed, got {other:?}"),
+            }
+        }
+        // A count the rest of the file can just hold still parses as far
+        // as the entries go.
+        let text = cp.encode().replacen("clients 4\n", "clients 5\n", 1);
+        assert!(matches!(
+            Checkpoint::decode(&text),
+            Err(CheckpointError::Malformed { line: 0, .. })
+        ));
     }
 
     #[test]

@@ -386,10 +386,14 @@ pub struct TailConfig {
     /// Capacity, in items (batches and checkpoint cuts), of each
     /// shard's input queue (`shard_in`) and of the write stage's
     /// (`write_in`); each shard's output queue (`shard_out`), which the
-    /// assembler reads, holds two. The record recycling pool holds
-    /// `batch_queue + 2` batches, and the shard-batch pool two more for
-    /// the output queues. Bounds how far the reorder stage may run ahead
-    /// of the disk, and the number of live batch buffers.
+    /// assembler reads, holds two. Bounds how far the reorder stage may
+    /// run ahead of the disk, and the number of live batch buffers,
+    /// which two recycling pools keep: record vectors, `batch_queue + 2`
+    /// (a full `write_in`, one in the write stage's hands, one in the
+    /// assembler's), and shard batches, `batch_queue + 5` plus one per
+    /// decode worker (a full `shard_in` and `shard_out`, one in a
+    /// shard's hands, one in the assembler's, and the reorder stage's
+    /// filling batch plus those one reorder span stages).
     pub batch_queue: usize,
     /// Anonymiser shards (power of two, `1..=16`): each batch fans out
     /// to this many shard workers, split along the paper's
@@ -954,9 +958,14 @@ where
             metered_bounded::<FormatItem>(tail.batch_queue, registry, "write_in");
         // etwlint: allow(no-unbounded-channel): bounded recycling pool, not a work queue — try_send/try_recv only, never blocks
         let (rec_pool_tx, rec_pool_rx) = crossbeam::channel::bounded::<Vec<AnonRecord>>(pool_cap);
-        // The shard batches also fill the shards' output queues: a pool
-        // smaller than the batches in flight drops and reallocates them.
-        let batch_cap = pool_cap + SHARD_OUT_QUEUE;
+        // The shard-batch pool holds every batch that can be live at
+        // once, as a smaller one drops and reallocates batches: a full
+        // `shard_in`, one in a shard's hands, a full `shard_out`, one in
+        // the assembler's round, the outbox's filling batch, and the
+        // batches one reorder span stages. A span that fills a reorder
+        // hole releases the decode batches held behind it, one per
+        // other worker in steady state, so it stages up to `n_workers`.
+        let batch_cap = tail.batch_queue + 1 + SHARD_OUT_QUEUE + 1 + 1 + n_workers;
         // etwlint: allow(no-unbounded-channel): bounded recycling pool, as above
         let (batch_pool_tx, batch_pool_rx) = crossbeam::channel::bounded::<ShardBatch>(batch_cap);
         for _ in 0..pool_cap {

@@ -479,12 +479,14 @@ fn hex_ranges(t: &[Token]) -> Vec<(u64, u64)> {
 // no-alloc-hot-loop
 // ---------------------------------------------------------------------------
 
-/// Files whose per-frame / per-record loops must stay allocation-free:
-/// the decode workers and batched tail in the core pipeline, and the
-/// zero-alloc XML formatter. `Vec::with_capacity` is deliberately *not*
+/// Files whose per-frame / per-record / per-id loops must stay
+/// allocation-free: the decode workers and batched tail in the core
+/// pipeline, the checkpoint encoder (a cut runs on the write stage's
+/// thread), and the zero-alloc XML formatter. `Vec::with_capacity` is deliberately *not*
 /// flagged — it is the sanctioned pre-size idiom and the buffer pools
 /// fall back to it on a pool miss.
 const HOT_LOOP_FILES: &[&str] = &[
+    "crates/core/src/checkpoint.rs",
     "crates/core/src/pipeline.rs",
     "crates/core/src/source.rs",
     "crates/anonymize/src/shard.rs",

@@ -30,7 +30,7 @@
 //!   serving — plus the decode-ratio floor and the swarm tap's
 //!   permille loss budget)
 //! * `ablations [--smoke]` — the design comparisons the paper argues
-//!   for (ablations A1–A6), the per-figure extraction costs and the
+//!   for (ablations A1–A7), the per-figure extraction costs and the
 //!   codec and distinct-counting extensions, each row timed best-of-N
 //!   (`--smoke`: one repeat) and printed with its row name; no gate
 //! * `matrix` — the CI campaign matrix: clientID widths {2^24, 2^16} ×

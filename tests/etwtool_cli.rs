@@ -1,7 +1,8 @@
 //! End-to-end tests of the `etwtool` dataset CLI, driving the compiled
 //! binary the way a dataset consumer would.
 
-use edonkey_ten_weeks::core::{run_campaign, CampaignConfig};
+use edonkey_ten_weeks::core::{run_campaign, CampaignConfig, Checkpoint};
+use edonkey_ten_weeks::edonkey::ids::FileId;
 use edonkey_ten_weeks::xmlout::writer::DatasetWriter;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -142,6 +143,38 @@ fn bad_usage_fails_cleanly() {
     assert!(!out.status.success());
     let out = etwtool().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
+}
+
+/// A sidecar whose clients count no file could hold is reported as a
+/// malformed line 7, and the inspector exits 1: the count is never
+/// handed to the allocator.
+#[test]
+fn checkpoint_inspect_rejects_an_oversized_count() {
+    let dir = tempdir("cko");
+    let path = dir.join("corrupt.etwckpt");
+    let cp = Checkpoint {
+        seed: 1,
+        virtual_us: 2,
+        next_checkpoint_us: 3,
+        records: 4,
+        writer_bytes: 5,
+        client_order: vec![10, 11],
+        file_order: vec![FileId([7; 16])],
+    };
+    let text = cp
+        .encode()
+        .replacen("clients 2\n", "clients 4000000000000\n", 1);
+    assert_eq!(text.lines().nth(6), Some("clients 4000000000000"));
+    std::fs::write(&path, text).unwrap();
+
+    let out = etwtool()
+        .args(["checkpoint-inspect"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("line 7"), "{err}");
 }
 
 #[test]
